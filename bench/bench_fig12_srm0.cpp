@@ -6,13 +6,19 @@
  * blocks, total nodes, depth) as synapse count grows, and runs the
  * reproduction's central agreement check: the Fig. 12 network vs the
  * numerical Fig. 1 reference on thousands of random volleys. Times both
- * implementations.
+ * implementations, and (F12b) every full-block evaluator body this CPU
+ * can run, on the SRM0 plan and on a Fig. 15 WTA plan.
  */
 
 #include "bench_common.hpp"
 
+#include <algorithm>
+#include <cmath>
+
+#include "core/eval_plan.hpp"
 #include "neuron/srm0_network.hpp"
 #include "neuron/srm0_reference.hpp"
+#include "neuron/wta.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
@@ -33,6 +39,96 @@ synapses(size_t q)
             syn.push_back(ResponseFunction::biexponential(3, 4.0, 1.0));
     }
     return syn;
+}
+
+/** The @p p quantile of @p xs, by nearest rank. */
+double
+quantile(std::vector<double> xs, double p)
+{
+    std::sort(xs.begin(), xs.end());
+    return xs[static_cast<size_t>(
+        std::lround(p * static_cast<double>(xs.size() - 1)))];
+}
+
+/**
+ * F12b: each entry of the evaluator body table on full blocks of the
+ * 32-synapse SRM0 plan (95% zero-delay binary min/max) and of the
+ * Fig. 15 WTA over 256 lines (delayed lt gates behind a 256-ary min).
+ * Rounds interleave the bodies, rotating which runs first, so host
+ * noise spreads over all of them alike.
+ */
+void
+printBodies()
+{
+    std::cout << "F12b | Evaluator bodies on full " << kEvalBlockLanes
+              << "-volley blocks, single thread: ns per volley over "
+                 "interleaved rounds\n";
+    AsciiTable t({"plan", "body", "p50 ns/volley", "q1", "q3",
+                  "vs scalar", "identical"});
+    struct Plan
+    {
+        const char *name;
+        Network net;
+    };
+    const Plan plans[] = {{"srm0-32", buildSrm0Network(synapses(32), 32)},
+                          {"wta-256", wtaNetwork(256, 2)}};
+    const std::span<const EvalBody> bodies = evalBodies();
+    const size_t rounds = bench::scaled(21, 2);
+    const size_t volleys = bench::scaled(1024, 2 * kEvalBlockLanes);
+    Rng rng(16);
+    for (const Plan &plan : plans) {
+        const EvalProgram &prog = plan.net.compile().live;
+        std::vector<std::vector<Time>> batch(volleys);
+        for (auto &x : batch) {
+            x.resize(plan.net.numInputs());
+            for (Time &v : x)
+                v = rng.chance(0.2) ? INF : Time(rng.below(10));
+        }
+        const std::span<const std::vector<Time>> all(batch);
+        const std::vector<Time> zeros(prog.size() * kEvalBlockLanes);
+        std::vector<std::vector<Time>> rows(bodies.size(), zeros);
+        std::vector<std::vector<double>> ns(bodies.size());
+        for (size_t r = 0; r < rounds; ++r) {
+            for (size_t k = 0; k < bodies.size(); ++k) {
+                const size_t b = (r + k) % bodies.size();
+                Stopwatch sw;
+                for (size_t v = 0; v < volleys; v += kEvalBlockLanes) {
+                    bodies[b].run(prog.view(), plan.net.nodes(),
+                                  all.subspan(v, kEvalBlockLanes),
+                                  rows[b].data());
+                    benchmark::ClobberMemory();
+                }
+                ns[b].push_back(sw.seconds() * 1e9 /
+                                static_cast<double>(volleys));
+            }
+        }
+        // Every body ended on the same last block: its rows must match
+        // the scalar body's bit for bit.
+        const double scalar = quantile(ns.back(), 0.5);
+        for (size_t b = 0; b < bodies.size(); ++b) {
+            const double p50 = quantile(ns[b], 0.5);
+            const double q1 = quantile(ns[b], 0.25);
+            const double q3 = quantile(ns[b], 0.75);
+            const double speedup = scalar / p50;
+            t.row(plan.name, bodies[b].name, std::round(p50),
+                  std::round(q1), std::round(q3),
+                  std::round(speedup * 100) / 100,
+                  rows[b] == rows.back() ? "yes" : "NO");
+            const std::string config = std::string("plan=") + plan.name +
+                                       " body=" + bodies[b].name;
+            bench::recordValue("fig12_bodies", config, "ns_per_volley_p50",
+                               p50);
+            bench::recordValue("fig12_bodies", config, "ns_per_volley_q1",
+                               q1);
+            bench::recordValue("fig12_bodies", config, "ns_per_volley_q3",
+                               q3);
+            bench::recordValue("fig12_bodies", config, "speedup_vs_scalar",
+                               speedup);
+        }
+    }
+    t.writeTo(std::cout);
+    std::cout << "shape check: identical everywhere; every vector body "
+                 "beats scalar, and wider registers run faster.\n";
 }
 
 void
@@ -116,7 +212,8 @@ printFigure()
     }
     perf.writeTo(std::cout);
     std::cout << "shape check: the compiled plan (DCE + inc fusion + "
-                 "flat CSR operands) wins more as the network grows.\n";
+                 "flat CSR operands) wins more as the network grows.\n\n";
+    printBodies();
 }
 
 void

@@ -311,12 +311,9 @@ namespace {
 template <size_t kLanes>
 void
 runBlockImpl(const EvalProgramView &prog, std::span<const Node> nodes,
-             std::span<const std::vector<Time>> batch,
-             std::vector<Time> &values)
+             std::span<const std::vector<Time>> batch, Time *v)
 {
     const size_t lanes = kLanes == 0 ? batch.size() : kLanes;
-    values.resize(prog.op.size() * lanes);
-    Time *v = values.data();
     const uint32_t *slot = prog.argSlot.data();
     const Time::rep *dly = prog.argDelay.data();
     constexpr Time::rep inf = std::numeric_limits<Time::rep>::max();
@@ -437,47 +434,39 @@ runBlockImpl(const EvalProgramView &prog, std::span<const Node> nodes,
     }
 }
 
-#ifdef ST_EVAL_PLAN_SIMD
-
-/** One-time CPUID probe guarding the AVX2 executor body. */
-bool
-cpuHasAvx2()
-{
-    static const bool ok = __builtin_cpu_supports("avx2");
-    return ok;
-}
-
-#ifdef ST_EVAL_PLAN_SIMD512
-
-/** One-time CPUID probe guarding the AVX-512 executor body. */
-bool
-cpuHasAvx512()
-{
-    static const bool ok = __builtin_cpu_supports("avx512f");
-    return ok;
-}
-
-#endif // ST_EVAL_PLAN_SIMD512
-#endif // ST_EVAL_PLAN_SIMD
-
 } // namespace
+
+std::span<const EvalBody>
+evalBodies()
+{
+    // Widest first. The x86 bodies exist when the compiler could build
+    // their objects and run only after a CPUID probe; NEON is
+    // architectural on aarch64.
+    static const std::vector<EvalBody> table = [] {
+        std::vector<EvalBody> t;
+#ifdef ST_EVAL_BODY_AVX512F
+        if (__builtin_cpu_supports("avx512f"))
+            t.push_back(
+                {"avx512", "eval.block.avx512", detail::runBlockAvx512});
+#endif
+#ifdef ST_EVAL_BODY_AVX2
+        if (__builtin_cpu_supports("avx2"))
+            t.push_back({"avx2", "eval.block.avx2", detail::runBlockAvx2});
+#endif
+#ifdef ST_EVAL_BODY_NEON
+        t.push_back({"neon", "eval.block.neon", detail::runBlockNeon});
+#endif
+        t.push_back(
+            {"scalar", "eval.block.scalar", runBlockImpl<kEvalBlockLanes>});
+        return t;
+    }();
+    return table;
+}
 
 const char *
 evalSimdBodyName()
 {
-#if defined(__aarch64__)
-    return "neon";
-#else
-#ifdef ST_EVAL_PLAN_SIMD
-#ifdef ST_EVAL_PLAN_SIMD512
-    if (cpuHasAvx512())
-        return "avx512";
-#endif
-    if (cpuHasAvx2())
-        return "avx2";
-#endif
-    return "scalar";
-#endif // __aarch64__
+    return evalBodies()[0].name;
 }
 
 void
@@ -486,35 +475,16 @@ runProgramBlock(const EvalProgramView &prog,
                 std::span<const std::vector<Time>> batch,
                 std::vector<Time> &values)
 {
+    values.resize(prog.size() * batch.size());
     if (batch.size() == kEvalBlockLanes) {
-#if defined(__aarch64__)
-        // NEON is baseline on aarch64: compile-time dispatch, no probe.
-        ST_OBS_ADD("eval.block.neon", 1);
-        detail::runBlockLanes8Neon(prog, nodes, batch, values);
-        return;
-#else
-#ifdef ST_EVAL_PLAN_SIMD
-#ifdef ST_EVAL_PLAN_SIMD512
-        // Widest ISA first: the probes are one-time statics, so the
-        // steady state is two predictable branches.
-        if (cpuHasAvx512()) {
-            ST_OBS_ADD("eval.block.avx512", 1);
-            detail::runBlockLanes8Avx512(prog, nodes, batch, values);
-            return;
-        }
-#endif
-        if (cpuHasAvx2()) {
-            ST_OBS_ADD("eval.block.avx2", 1);
-            detail::runBlockLanes8Avx2(prog, nodes, batch, values);
-            return;
-        }
-#endif
-        ST_OBS_ADD("eval.block.scalar", 1);
-        runBlockImpl<kEvalBlockLanes>(prog, nodes, batch, values);
-#endif // __aarch64__
+        // Entry 0 never changes within a process, so the counter this
+        // call site caches on first use is always the right one.
+        const EvalBody &body = evalBodies()[0];
+        ST_OBS_ADD(body.counter, 1);
+        body.run(prog, nodes, batch, values.data());
     } else {
         ST_OBS_ADD("eval.block.tail", 1);
-        runBlockImpl<0>(prog, nodes, batch, values);
+        runBlockImpl<0>(prog, nodes, batch, values.data());
     }
 }
 

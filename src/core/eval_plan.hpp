@@ -177,10 +177,32 @@ struct EvalProgram
 /** Block width evaluateBatch feeds to EvalProgram::runBlock. */
 inline constexpr size_t kEvalBlockLanes = 8;
 
+/** A full-block executor body: an entry of the evalBodies() table. */
+struct EvalBody
+{
+    const char *name;    //!< "avx512", "avx2", "neon" or "scalar"
+    const char *counter; //!< obs counter of blocks dispatched to it
+    /**
+     * Run @p prog on exactly kEvalBlockLanes volleys, writing the
+     * slot-major rows EvalProgram::runBlock documents into @p values,
+     * which the caller sizes to prog.size() * kEvalBlockLanes.
+     */
+    void (*run)(const EvalProgramView &prog, std::span<const Node> nodes,
+                std::span<const std::vector<Time>> batch, Time *values);
+};
+
 /**
- * The SIMD body runBlock dispatches full blocks to on this machine:
- * "avx512", "avx2", "neon" or "scalar". Health snapshots report it so
- * an operator can tell which executor a deployment actually runs.
+ * The full-block bodies this CPU can run, widest ISA first and ending
+ * with the portable scalar body. Built once per process; runBlock
+ * dispatches every full block to entry 0, and tests and benches reach
+ * the others through the same table.
+ */
+std::span<const EvalBody> evalBodies();
+
+/**
+ * The body runBlock dispatches full blocks to on this machine (the
+ * name of evalBodies()[0]). Health snapshots report it so an operator
+ * can tell which executor a deployment actually runs.
  */
 const char *evalSimdBodyName();
 
@@ -215,32 +237,19 @@ EvalPlan buildEvalPlan(const Network &net);
 namespace detail {
 
 /**
- * SIMD bodies of EvalProgram::runBlock for full blocks of
- * kEvalBlockLanes volleys, each bit-identical to the portable body on
- * every input. The x86-64 bodies live in their own translation units
- * compiled with the matching -m flag (eval_plan_simd.cpp for AVX2,
- * eval_plan_simd512.cpp for AVX-512F) and are entered only after a
- * one-time runtime CPUID probe picks the widest available ISA, so the
- * same binary runs everywhere from SSE2 up. The NEON body
- * (eval_plan_simd_neon.cpp) is baseline on aarch64 and dispatched at
- * compile time.
+ * The vector body (eval_plan_simd.cpp), one source compiled once per
+ * ISA: -mavx2 and -mavx512f objects on x86-64, baseline on aarch64.
+ * Only the objects the build produced are defined, and evalBodies()
+ * lists only those the CPU supports.
  */
-void runBlockLanes8Avx2(const EvalProgramView &prog,
-                        std::span<const Node> nodes,
-                        std::span<const std::vector<Time>> batch,
-                        std::vector<Time> &values);
+void runBlockAvx2(const EvalProgramView &prog, std::span<const Node> nodes,
+                  std::span<const std::vector<Time>> batch, Time *values);
 
-/** AVX-512F variant: one 8x64 vector per value row. */
-void runBlockLanes8Avx512(const EvalProgramView &prog,
-                          std::span<const Node> nodes,
-                          std::span<const std::vector<Time>> batch,
-                          std::vector<Time> &values);
+void runBlockAvx512(const EvalProgramView &prog, std::span<const Node> nodes,
+                    std::span<const std::vector<Time>> batch, Time *values);
 
-/** aarch64 NEON variant: four 2x64 vectors per value row. */
-void runBlockLanes8Neon(const EvalProgramView &prog,
-                        std::span<const Node> nodes,
-                        std::span<const std::vector<Time>> batch,
-                        std::vector<Time> &values);
+void runBlockNeon(const EvalProgramView &prog, std::span<const Node> nodes,
+                  std::span<const std::vector<Time>> batch, Time *values);
 
 } // namespace detail
 

@@ -257,11 +257,25 @@ Network::totalIncStages() const
     return total;
 }
 
+namespace {
+
+/** The error every evaluation entry point throws for a misfit volley. */
+[[noreturn]] void
+throwArity(const std::string &volley, size_t width, size_t num_inputs)
+{
+    throw std::invalid_argument("Network: " + volley + " has " +
+                                std::to_string(width) +
+                                " inputs, network has " +
+                                std::to_string(num_inputs));
+}
+
+} // namespace
+
 std::vector<Time>
 Network::evaluateAllInterpreted(std::span<const Time> inputs) const
 {
     if (inputs.size() != numInputs_)
-        throw std::invalid_argument("Network: evaluate arity mismatch");
+        throwArity("evaluate volley", inputs.size(), numInputs_);
     std::vector<Time> value(nodes_.size());
     for (size_t i = 0; i < nodes_.size(); ++i) {
         const Node &n = nodes_[i];
@@ -343,7 +357,7 @@ std::vector<Time>
 Network::evaluateAll(std::span<const Time> inputs) const
 {
     if (inputs.size() != numInputs_)
-        throw std::invalid_argument("Network: evaluate arity mismatch");
+        throwArity("evaluate volley", inputs.size(), numInputs_);
     std::vector<Time> value;
     compile().full.run(nodes_, inputs, value);
     return value;
@@ -354,7 +368,7 @@ Network::evaluateInto(std::span<const Time> inputs, EvalScratch &scratch,
                       std::vector<Time> &out) const
 {
     if (inputs.size() != numInputs_)
-        throw std::invalid_argument("Network: evaluate arity mismatch");
+        throwArity("evaluate volley", inputs.size(), numInputs_);
     const EvalPlan &plan = compile();
     const EvalProgram &prog = plan.live;
     prog.run(nodes_, inputs, scratch.values);
@@ -384,6 +398,13 @@ std::vector<std::vector<Time>>
 Network::evaluateBatch(std::span<const std::vector<Time>> batch,
                        size_t nthreads) const
 {
+    // Every volley is checked before any block runs: a misfit volley
+    // rejects the whole batch, and the error names it.
+    for (size_t i = 0; i < batch.size(); ++i) {
+        if (batch[i].size() != numInputs_)
+            throwArity("evaluateBatch volley " + std::to_string(i),
+                       batch[i].size(), numInputs_);
+    }
     // One compile up front (not one race per lane), then lane-blocked
     // execution: each unit of work is a block of kEvalBlockLanes
     // volleys pushed through the program together. The block layout is
@@ -407,11 +428,6 @@ Network::evaluateBatch(std::span<const std::vector<Time>> batch,
             const size_t begin = blk * kEvalBlockLanes;
             const size_t count =
                 std::min(kEvalBlockLanes, batch.size() - begin);
-            for (size_t l = 0; l < count; ++l) {
-                if (batch[begin + l].size() != numInputs_)
-                    throw std::invalid_argument(
-                        "Network: evaluate arity mismatch");
-            }
             EvalScratch &scratch = threadScratch();
             prog.runBlock(nodes_, batch.subspan(begin, count),
                           scratch.values);
