@@ -357,8 +357,6 @@ void
 Session::feedLine(std::string_view line, uint64_t now_ms)
 {
     touch(now_ms);
-    std::array<std::string_view, 8> toks;
-    const size_t ntoks = tokenize(line, toks.data(), toks.size());
     SessionState state;
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -366,6 +364,16 @@ Session::feedLine(std::string_view line, uint64_t now_ms)
         ++stats_.linesIn;
         state = state_;
     }
+    if (line.size() > kMaxLineBytes) {
+        quarantine(Status(StatusCode::InvalidArgument,
+                          "line longer than " +
+                              std::to_string(kMaxLineBytes) + " bytes",
+                          "line " + std::to_string(lineNo_)),
+                   now_ms);
+        return;
+    }
+    std::array<std::string_view, 8> toks;
+    const size_t ntoks = tokenize(line, toks.data(), toks.size());
     if (ntoks == 0)
         return; // blank / comment line
     if (state == SessionState::Closed)

@@ -35,6 +35,8 @@
  *     note backpressure <on|off> | note gap <skipped>
  *     err <status>              # session quarantined
  *     end volleys <n> drops <n>
+ *
+ * A line longer than kMaxLineBytes quarantines its session.
  */
 
 #ifndef ST_SERVE_SESSION_HPP
@@ -55,6 +57,13 @@
 #include "tnn/volley.hpp"
 
 namespace st::serve {
+
+/**
+ * Longest legal wire line, newline excluded. Legal lines are under
+ * 100 bytes. Transports buffer at most this much of a line, so a peer
+ * that never sends a newline cannot grow server memory.
+ */
+inline constexpr size_t kMaxLineBytes = 4096;
 
 /** Protocol position of a session. */
 enum class SessionState : uint8_t

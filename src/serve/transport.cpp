@@ -1,11 +1,13 @@
 #include "serve/transport.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <string>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -76,6 +78,11 @@ dispatchLine(StreamServer &server,
  * Poll-driven line reader over an fd: returns false on EOF/error,
  * filling @p line (newline stripped). @p should_stop is checked
  * between polls so a drain unblocks the reader within ~100 ms.
+ *
+ * A line longer than kMaxLineBytes comes back as its first
+ * kMaxLineBytes + 1 bytes, which the session rejects; the rest of it,
+ * through the next newline, is read and discarded. The buffer never
+ * holds more than kMaxLineBytes plus one read.
  */
 class FdLineReader
 {
@@ -86,10 +93,27 @@ class FdLineReader
     next(std::string &line, const std::function<bool()> &should_stop)
     {
         while (true) {
-            size_t nl = buf_.find('\n');
+            const size_t nl = buf_.find('\n', scanned_);
             if (nl != std::string::npos) {
-                line.assign(buf_, 0, nl);
+                const bool keep = !discarding_;
+                if (keep)
+                    line.assign(buf_, 0, std::min(nl, kMaxLineBytes + 1));
                 buf_.erase(0, nl + 1);
+                scanned_ = 0;
+                discarding_ = false;
+                if (keep)
+                    return true;
+                continue;
+            }
+            scanned_ = buf_.size();
+            if (discarding_) {
+                buf_.clear();
+                scanned_ = 0;
+            } else if (buf_.size() > kMaxLineBytes) {
+                line.assign(buf_, 0, kMaxLineBytes + 1);
+                buf_.clear();
+                scanned_ = 0;
+                discarding_ = true;
                 return true;
             }
             if (eof_) {
@@ -124,6 +148,8 @@ class FdLineReader
   private:
     int fd_;
     std::string buf_;
+    size_t scanned_ = 0;      //!< buf_ prefix known to hold no newline
+    bool discarding_ = false; //!< inside an over-long line
     bool eof_ = false;
 };
 
@@ -297,6 +323,14 @@ TcpTransport::serve()
 void
 TcpTransport::handleConnection(int fd)
 {
+    // Each reply line is one small segment. With Nagle's algorithm
+    // on, a segment waits while an earlier one is unacknowledged, and
+    // the client delays that ACK until its next request, so replies
+    // would lock one request gap late. Every write is one whole line,
+    // so sending each at once puts no partial line on the wire.
+    const int one = 1;
+    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+
     std::mutex out_mutex;
     const auto put = [&](const std::string &line) {
         std::lock_guard<std::mutex> lock(out_mutex);

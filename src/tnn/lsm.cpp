@@ -21,16 +21,20 @@ Reservoir::Reservoir(const ReservoirParams &params)
     for (uint32_t j = 0; j < n; ++j)
         inhibitory[j] = !rng.chance(params_.excitatoryFraction);
 
+    edgeStart_.reserve(n + 1);
     for (uint32_t from = 0; from < n; ++from) {
+        edgeStart_.push_back(edgeTo_.size());
         for (uint32_t to = 0; to < n; ++to) {
             if (from == to || !rng.chance(params_.connectProb))
                 continue;
             double w = params_.weightScale * (0.5 + rng.uniform());
             if (inhibitory[from])
                 w = -w;
-            edges_.push_back({from, to, w});
+            edgeTo_.push_back(to);
+            edgeW_.push_back(w);
         }
     }
+    edgeStart_.push_back(edgeTo_.size());
 
     inputFan_.resize(params_.numInputs);
     inputW_.resize(params_.numInputs);
@@ -52,7 +56,7 @@ Reservoir::reset()
 {
     potential_.assign(params_.numNeurons, 0.0);
     refractory_.assign(params_.numNeurons, 0);
-    firedLast_.assign(params_.numNeurons, 0);
+    fired_.clear();
     traces_.assign(params_.numNeurons, 0.0);
     spikeCount_ = 0;
 }
@@ -60,15 +64,25 @@ Reservoir::reset()
 std::vector<uint32_t>
 Reservoir::step(std::span<const uint32_t> input_channels)
 {
+    advance(input_channels);
+    return fired_;
+}
+
+void
+Reservoir::advance(std::span<const uint32_t> input_channels)
+{
     const size_t n = params_.numNeurons;
 
     // Leak, then integrate last step's recurrent spikes and this
-    // step's input spikes.
+    // step's input spikes. Only the fired neurons' out-edges carry a
+    // spike; walking them source-ascending, targets ascending, adds
+    // to each potential in the order a scan of every edge would, so
+    // the sums are bit-identical to that scan's.
     for (size_t j = 0; j < n; ++j)
         potential_[j] *= params_.leak;
-    for (const Edge &e : edges_) {
-        if (firedLast_[e.from])
-            potential_[e.to] += e.weight;
+    for (uint32_t from : fired_) {
+        for (size_t e = edgeStart_[from]; e < edgeStart_[from + 1]; ++e)
+            potential_[edgeTo_[e]] += edgeW_[e];
     }
     for (uint32_t c : input_channels) {
         if (c >= params_.numInputs)
@@ -78,26 +92,21 @@ Reservoir::step(std::span<const uint32_t> input_channels)
     }
 
     // Fire, reset, refract; update readout traces.
-    std::vector<uint32_t> fired;
+    fired_.clear();
     for (size_t j = 0; j < n; ++j) {
         traces_[j] *= params_.traceLeak;
         if (refractory_[j] > 0) {
             --refractory_[j];
-            firedLast_[j] = 0;
             continue;
         }
         if (potential_[j] >= params_.threshold) {
-            fired.push_back(static_cast<uint32_t>(j));
+            fired_.push_back(static_cast<uint32_t>(j));
             potential_[j] = 0.0;
             refractory_[j] = params_.refractory;
-            firedLast_[j] = 1;
             traces_[j] += 1.0;
             ++spikeCount_;
-        } else {
-            firedLast_[j] = 0;
         }
     }
-    return fired;
 }
 
 size_t
@@ -106,13 +115,15 @@ Reservoir::runVolley(std::span<const Time> volley, size_t total_steps)
     if (volley.size() != params_.numInputs)
         throw std::invalid_argument("Reservoir: volley arity mismatch");
     size_t spikes = 0;
+    std::vector<uint32_t> channels;
     for (size_t t = 0; t < total_steps; ++t) {
-        std::vector<uint32_t> channels;
+        channels.clear();
         for (size_t c = 0; c < volley.size(); ++c) {
             if (volley[c].isFinite() && volley[c].value() == t)
                 channels.push_back(static_cast<uint32_t>(c));
         }
-        spikes += step(channels).size();
+        advance(channels);
+        spikes += fired_.size();
     }
     return spikes;
 }

@@ -81,26 +81,32 @@ class Reservoir
     /** Exponentially filtered per-neuron spike traces (the state). */
     const std::vector<double> &traces() const { return traces_; }
 
+    /** Membrane potentials (for inspection). */
+    const std::vector<double> &potentials() const { return potential_; }
+
     /** Total spikes since the last reset. */
     size_t spikeCount() const { return spikeCount_; }
 
     /** Recurrent connection count (for inspection). */
-    size_t numConnections() const { return edges_.size(); }
+    size_t numConnections() const { return edgeTo_.size(); }
 
   private:
-    struct Edge
-    {
-        uint32_t from, to;
-        double weight;
-    };
+    /** step() without the copy: leaves this step's spikes in fired_. */
+    void advance(std::span<const uint32_t> input_channels);
 
     ReservoirParams params_;
-    std::vector<Edge> edges_;              //!< recurrent synapses
+    /**
+     * Recurrent synapses, source-indexed (CSR): neuron j's out-edges
+     * are [edgeStart_[j], edgeStart_[j + 1]), targets ascending.
+     */
+    std::vector<size_t> edgeStart_;
+    std::vector<uint32_t> edgeTo_;
+    std::vector<double> edgeW_;            //!< weights, parallel
     std::vector<std::vector<uint32_t>> inputFan_; //!< targets / channel
     std::vector<std::vector<double>> inputW_; //!< weights, parallel
     std::vector<double> potential_;
     std::vector<uint32_t> refractory_;
-    std::vector<uint8_t> firedLast_;
+    std::vector<uint32_t> fired_; //!< last step's spikes, ascending
     std::vector<double> traces_;
     size_t spikeCount_ = 0;
 };

@@ -3,13 +3,16 @@
  * Tests for the liquid-state-machine extension (paper Sec. II.C's
  * deferred recurrent case): reservoir dynamics (determinism, bounded
  * activity, fading memory), the separation property (different inputs
- * -> different states), and end-to-end classification through a simple
- * linear readout.
+ * -> different states), end-to-end classification through a simple
+ * linear readout, and a differential sweep of the reservoir's step
+ * against the dense every-edge scan it replaced.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <utility>
 
 #include "test_helpers.hpp"
 #include "tnn/datasets.hpp"
@@ -134,6 +137,198 @@ TEST(Reservoir, RejectsBadChannel)
     std::vector<uint32_t> bad{99};
     EXPECT_THROW(r.step(bad), std::out_of_range);
     EXPECT_THROW(r.runVolley(Volley(3, INF), 5), std::invalid_argument);
+}
+
+/**
+ * The untransformed reservoir: the constructor's seeded Rng draws
+ * replayed into one flat edge list, and a step that tests every edge
+ * against last step's spike flags. Reservoir walks only the fired
+ * neurons' out-edges; the sweep below holds it to this form
+ * bit-for-bit.
+ */
+class DenseReservoir
+{
+  public:
+    explicit DenseReservoir(const ReservoirParams &p) : p_(p)
+    {
+        Rng rng(p.seed);
+        const auto n = static_cast<uint32_t>(p.numNeurons);
+        std::vector<bool> inhibitory(n);
+        for (uint32_t j = 0; j < n; ++j)
+            inhibitory[j] = !rng.chance(p.excitatoryFraction);
+        for (uint32_t from = 0; from < n; ++from) {
+            for (uint32_t to = 0; to < n; ++to) {
+                if (from == to || !rng.chance(p.connectProb))
+                    continue;
+                const double w = p.weightScale * (0.5 + rng.uniform());
+                edges_.push_back({from, to, inhibitory[from] ? -w : w});
+            }
+        }
+        fan_.resize(p.numInputs);
+        for (size_t c = 0; c < p.numInputs; ++c) {
+            for (uint32_t j = 0; j < n; ++j) {
+                if (!rng.chance(p.inputProb))
+                    continue;
+                fan_[c].emplace_back(j, p.inputScale * (0.5 + rng.uniform()));
+            }
+        }
+        reset();
+    }
+
+    void
+    reset()
+    {
+        potential_.assign(p_.numNeurons, 0.0);
+        refractory_.assign(p_.numNeurons, 0);
+        firedLast_.assign(p_.numNeurons, 0);
+        traces_.assign(p_.numNeurons, 0.0);
+        spikeCount_ = 0;
+    }
+
+    std::vector<uint32_t>
+    step(std::span<const uint32_t> channels)
+    {
+        for (double &v : potential_)
+            v *= p_.leak;
+        for (const Edge &e : edges_) {
+            if (firedLast_[e.from])
+                potential_[e.to] += e.weight;
+        }
+        for (uint32_t c : channels)
+            for (const auto &[j, w] : fan_[c])
+                potential_[j] += w;
+        std::vector<uint32_t> fired;
+        for (uint32_t j = 0; j < p_.numNeurons; ++j) {
+            traces_[j] *= p_.traceLeak;
+            firedLast_[j] = 0;
+            if (refractory_[j] > 0) {
+                --refractory_[j];
+                continue;
+            }
+            if (potential_[j] >= p_.threshold) {
+                fired.push_back(j);
+                potential_[j] = 0.0;
+                refractory_[j] = p_.refractory;
+                firedLast_[j] = 1;
+                traces_[j] += 1.0;
+                ++spikeCount_;
+            }
+        }
+        return fired;
+    }
+
+    size_t numConnections() const { return edges_.size(); }
+    const std::vector<double> &potentials() const { return potential_; }
+    const std::vector<double> &traces() const { return traces_; }
+    size_t spikeCount() const { return spikeCount_; }
+
+  private:
+    struct Edge
+    {
+        uint32_t from, to;
+        double weight;
+    };
+
+    ReservoirParams p_;
+    std::vector<Edge> edges_;
+    std::vector<std::vector<std::pair<uint32_t, double>>> fan_;
+    std::vector<double> potential_;
+    std::vector<uint32_t> refractory_;
+    std::vector<uint8_t> firedLast_;
+    std::vector<double> traces_;
+    size_t spikeCount_ = 0;
+};
+
+/**
+ * Drive step() and runVolley() of two Reservoirs and the dense form
+ * with the same seeded volleys (1-20 steps each, every channel
+ * spiking with probability @p spike_p), resetting all three every
+ * 1000 volleys. Fired sets and membrane potentials must match per
+ * step, bit for bit; traces and spike counts after every volley.
+ * Returns the total spike count, so a caller can check the sweep was
+ * not silent.
+ */
+size_t
+sweepAgainstDense(const ReservoirParams &p, size_t volleys,
+                  double spike_p, uint64_t seed)
+{
+    Reservoir stepped(p), whole(p);
+    DenseReservoir dense(p);
+    EXPECT_EQ(stepped.numConnections(), dense.numConnections());
+    Rng rng(seed);
+    std::vector<uint32_t> channels;
+    size_t total = 0;
+    for (size_t v = 0; v < volleys; ++v) {
+        if (v % 1000 == 0) {
+            stepped.reset();
+            whole.reset();
+            dense.reset();
+        }
+        const size_t steps = 1 + rng.below(20);
+        Volley volley(p.numInputs, INF);
+        for (Time &t : volley)
+            if (rng.chance(spike_p))
+                t = Time(rng.below(steps));
+        size_t spikes = 0;
+        for (size_t t = 0; t < steps; ++t) {
+            channels.clear();
+            for (size_t c = 0; c < volley.size(); ++c)
+                if (volley[c].isFinite() && volley[c].value() == t)
+                    channels.push_back(static_cast<uint32_t>(c));
+            const std::vector<uint32_t> want = dense.step(channels);
+            if (stepped.step(channels) != want ||
+                stepped.potentials() != dense.potentials()) {
+                ADD_FAILURE() << "fired set or potentials differ at "
+                              << "volley " << v << " step " << t;
+                return total;
+            }
+            spikes += want.size();
+        }
+        if (whole.runVolley(volley, steps) != spikes ||
+            whole.potentials() != dense.potentials() ||
+            stepped.traces() != dense.traces() ||
+            whole.traces() != dense.traces() ||
+            stepped.spikeCount() != dense.spikeCount() ||
+            whole.spikeCount() != dense.spikeCount()) {
+            ADD_FAILURE() << "state differs after volley " << v;
+            return total;
+        }
+        total += spikes;
+    }
+    return total;
+}
+
+ReservoirParams
+demoReservoir()
+{
+    // What `stmodel_pack --demo 16 --kind lsm` packs and the perf
+    // ledger's lsm-paced workload serves.
+    ReservoirParams p;
+    p.numInputs = 16;
+    p.numNeurons = 96;
+    return p;
+}
+
+TEST(ReservoirDifferential, DemoReservoirMatchesDenseScan)
+{
+    EXPECT_GT(sweepAgainstDense(demoReservoir(), 10000, 0.15, 31),
+              1000000u);
+}
+
+TEST(ReservoirDifferential, LowActivityReservoirMatchesDenseScan)
+{
+    ReservoirParams p;
+    p.numInputs = 12;
+    p.numNeurons = 200;
+    p.connectProb = 0.02;
+    p.seed = 4242;
+    EXPECT_GT(sweepAgainstDense(p, 10000, 0.1, 32), 100000u);
+}
+
+TEST(ReservoirDifferential, SmallReservoirMatchesDenseScan)
+{
+    EXPECT_GT(sweepAgainstDense(smallReservoir(), 10000, 0.25, 33),
+              100000u);
 }
 
 TEST(LinearReadout, LearnsLinearlySeparableFeatures)

@@ -7,9 +7,10 @@
  * (multi-session ordering, deadline drops, poisoned-batch isolation,
  * graceful drain), and the health JSON shape.
  *
- * Everything here is in-process and socket-free; the TCP/pipe
- * transports are exercised by the CI serve-smoke job and the chaos
- * soak (serve_chaos_test.cpp).
+ * Everything here is in-process and socket-free; the TCP and pipe
+ * transports have their own suite (serve_transport_test.cpp), and the
+ * CI serve-smoke job and the chaos soak (serve_chaos_test.cpp) drive
+ * them too.
  */
 
 #include <gtest/gtest.h>
@@ -296,6 +297,29 @@ TEST(Session, BadHelloQuarantinesWithLineNumber)
     ASSERT_TRUE(err.has_value());
     EXPECT_NE(err->find("err "), std::string::npos);
     EXPECT_NE(err->find("[line 1]"), std::string::npos);
+}
+
+TEST(Session, LineLengthBoundIsExact)
+{
+    Session s(1, sessionConfig(), 4, nullptr);
+    s.feedLine("stserve 1", 0);
+    s.feedLine("addresses 4", 0);
+    ASSERT_TRUE(s.nextOutput(std::chrono::milliseconds(100)));
+    // A longest legal line: an event padded out with a comment.
+    std::string line = "0 1 #";
+    line.resize(kMaxLineBytes, 'x');
+    s.feedLine(line, 0);
+    EXPECT_EQ(s.state(), SessionState::Streaming);
+    line.push_back('x');
+    s.feedLine(line, 0);
+    EXPECT_EQ(s.state(), SessionState::Quarantined);
+    auto err = s.nextOutput(std::chrono::milliseconds(100));
+    ASSERT_TRUE(err.has_value());
+    EXPECT_NE(err->find("err invalid_argument"), std::string::npos);
+    EXPECT_NE(err->find(std::to_string(kMaxLineBytes) + " bytes"),
+              std::string::npos)
+        << *err;
+    EXPECT_NE(err->find("[line 4]"), std::string::npos) << *err;
 }
 
 TEST(Session, WrongAddressCountQuarantines)
