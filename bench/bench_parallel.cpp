@@ -3,16 +3,20 @@
  * Experiment E5 — the parallel batched volley engine.
  *
  * The paper's execution model is embarrassingly parallel at the volley
- * level (independent inputs) and at the neuron level within a column
- * (Sec. IV's SRM0 bank). This bench measures what the work-stealing
- * pool buys on real hardware: volleys/sec for TnnNetwork::processBatch
- * on a 1k-volley batch at 1..8 threads, the speedup over the serial
- * path, and the batched-STDP training throughput — while asserting
- * that every thread count reproduces the serial results bit-for-bit.
+ * level (independent inputs). This bench measures what the
+ * work-stealing pool buys on real hardware: volleys/sec for
+ * TnnNetwork::processBatch on a 1k-volley batch at 1..16 threads, the
+ * speedup over the serial path, and the batched-STDP training
+ * throughput — while asserting that every thread count reproduces the
+ * serial results bit-for-bit. Each lane count is timed once per round
+ * and the best of kRounds rounds is kept, with the lane counts
+ * interleaved inside a round, so one descheduled run on a shared host
+ * cannot fake or hide a speedup.
  */
 
 #include "bench_common.hpp"
 
+#include <algorithm>
 #include <thread>
 
 #include "tnn/datasets.hpp"
@@ -26,13 +30,16 @@ using namespace st;
 
 namespace {
 
+/** Timed rounds per lane count; the fastest is reported. */
+constexpr int kRounds = 101;
+
 TnnNetwork
 buildNetwork(size_t lines)
 {
     TnnNetwork net;
     ColumnParams l0;
     l0.numInputs = lines;
-    l0.numNeurons = 96; // wide: exercises the intra-column parallel-for
+    l0.numNeurons = 96;
     l0.threshold = 16;
     l0.wtaTau = 3;
     l0.wtaK = 8;
@@ -79,31 +86,38 @@ printFigure()
     bench::recordValue("parallel", "machine", "hardware_concurrency",
                        static_cast<double>(cores));
 
+    const int rounds = bench::smokeMode() ? 1 : kRounds;
     std::cout << "E5a | processBatch throughput vs thread count ("
-              << count << " volleys, 48->96->64 network; host has "
+              << count << " volleys, 48->96->64 network, best of "
+              << rounds << " rounds; host has "
               << cores << " hardware threads, "
               << ThreadPool::defaultThreads() << " default lanes)\n";
     std::vector<size_t> lanes{1, 2, 4, 8, 16};
     if (bench::smokeMode())
         lanes = {1, 2};
     std::vector<Volley> serial = net.processBatch(batch, 1);
-    double serial_secs = 0;
+    std::vector<double> best(lanes.size(), 1e300);
+    std::vector<bool> identical(lanes.size(), true);
+    for (int r = 0; r < rounds; ++r) {
+        for (size_t i = 0; i < lanes.size(); ++i) {
+            Stopwatch sw;
+            std::vector<Volley> out = net.processBatch(batch, lanes[i]);
+            best[i] = std::min(best[i], sw.seconds());
+            identical[i] = identical[i] && out == serial;
+        }
+    }
     bool all_identical = true;
     AsciiTable t({"threads", "seconds", "volleys/sec", "speedup",
                   "efficiency", "identical"});
-    for (size_t n : lanes) {
-        Stopwatch sw;
-        std::vector<Volley> out = net.processBatch(batch, n);
-        double secs = sw.seconds();
-        if (n == 1)
-            serial_secs = secs;
+    for (size_t i = 0; i < lanes.size(); ++i) {
+        const size_t n = lanes[i];
+        const double secs = best[i];
         double vps = static_cast<double>(count) / secs;
-        const double speedup = serial_secs / secs;
+        const double speedup = best[0] / secs;
         const double efficiency = speedup / static_cast<double>(n);
-        const bool identical = out == serial;
-        all_identical = all_identical && identical;
+        all_identical = all_identical && identical[i];
         t.row(n, secs, vps, speedup, efficiency,
-              identical ? "yes" : "NO");
+              identical[i] ? "yes" : "NO");
         const std::string cfg = "threads=" + std::to_string(n);
         bench::record("parallel", cfg, vps, speedup);
         bench::recordValue("parallel", cfg, "efficiency", efficiency);
@@ -116,16 +130,22 @@ printFigure()
                  "yes everywhere (determinism guarantee).\n\n";
 
     std::cout << "E5b | batched STDP training throughput "
-                 "(trainLayerBatched, layer 0)\n";
+                 "(trainLayerBatched, layer 0, best of "
+              << rounds << " rounds)\n";
     SimplifiedStdp rule(0.06, 0.045);
-    AsciiTable tr({"threads", "seconds", "samples/sec"});
-    for (size_t n : lanes) {
-        TnnNetwork fresh = buildNetwork(lines);
-        Stopwatch sw;
-        fresh.trainLayerBatched(0, batch, rule, 1, n);
-        double secs = sw.seconds();
-        tr.row(n, secs, static_cast<double>(count) / secs);
+    std::vector<double> train_best(lanes.size(), 1e300);
+    for (int r = 0; r < rounds; ++r) {
+        for (size_t i = 0; i < lanes.size(); ++i) {
+            TnnNetwork fresh = buildNetwork(lines);
+            Stopwatch sw;
+            fresh.trainLayerBatched(0, batch, rule, 1, lanes[i]);
+            train_best[i] = std::min(train_best[i], sw.seconds());
+        }
     }
+    AsciiTable tr({"threads", "seconds", "samples/sec"});
+    for (size_t i = 0; i < lanes.size(); ++i)
+        tr.row(lanes[i], train_best[i],
+               static_cast<double>(count) / train_best[i]);
     tr.writeTo(std::cout);
     std::cout << "shape check: training scales like inference — the "
                  "winner-selection phase dominates and parallelizes; "

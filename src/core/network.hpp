@@ -254,7 +254,7 @@ class Network
     /**
      * Lazily compiled plan, published with a compare-exchange so
      * concurrent const evaluators can build it without locking (losers
-     * discard their build, as in Column's model cache).
+     * discard their build).
      */
     mutable std::atomic<const EvalPlan *> plan_{nullptr};
 };

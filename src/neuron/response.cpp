@@ -137,30 +137,37 @@ ResponseFunction::isZero() const
     return samples_.empty();
 }
 
+std::vector<ResponseFunction::Step>
+ResponseFunction::steps() const
+{
+    std::vector<Step> jumps;
+    Amp prev = 0;
+    for (size_t t = 0; t < samples_.size(); ++t) {
+        if (samples_[t] != prev)
+            jumps.push_back({t, samples_[t] - prev});
+        prev = samples_[t];
+    }
+    return jumps;
+}
+
 std::vector<Time::rep>
 ResponseFunction::upSteps() const
 {
-    std::vector<Time::rep> steps;
-    Amp prev = 0;
-    for (size_t t = 0; t < samples_.size(); ++t) {
-        for (Amp d = samples_[t] - prev; d > 0; --d)
-            steps.push_back(t);
-        prev = samples_[t];
-    }
-    return steps;
+    std::vector<Time::rep> ups;
+    for (const Step &s : steps())
+        for (Amp d = s.delta; d > 0; --d)
+            ups.push_back(s.offset);
+    return ups;
 }
 
 std::vector<Time::rep>
 ResponseFunction::downSteps() const
 {
-    std::vector<Time::rep> steps;
-    Amp prev = 0;
-    for (size_t t = 0; t < samples_.size(); ++t) {
-        for (Amp d = prev - samples_[t]; d > 0; --d)
-            steps.push_back(t);
-        prev = samples_[t];
-    }
-    return steps;
+    std::vector<Time::rep> downs;
+    for (const Step &s : steps())
+        for (Amp d = -s.delta; d > 0; --d)
+            downs.push_back(s.offset);
+    return downs;
 }
 
 ResponseFunction

@@ -94,6 +94,23 @@ class ResponseFunction
     /** True iff there are no steps at all. */
     bool isZero() const;
 
+    /** One jump of the response: the amplitude moves by @c delta at
+     *  @c offset ticks after the spike. */
+    struct Step
+    {
+        Time::rep offset;
+        Amp delta;
+
+        bool operator==(const Step &) const = default;
+    };
+
+    /**
+     * The response as its jumps, in ascending offset, one per offset at
+     * which the amplitude changes: A(t) is the sum of the deltas with
+     * offset <= t. upSteps() and downSteps() split these into units.
+     */
+    std::vector<Step> steps() const;
+
     /**
      * Times of unit up-steps, in nondecreasing order with multiplicity:
      * a +2 jump at t contributes t twice. These are the inc constants of

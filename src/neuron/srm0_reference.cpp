@@ -1,11 +1,19 @@
 #include "neuron/srm0_reference.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "core/algebra.hpp"
 
 namespace st {
+
+namespace {
+
+/** The largest finite time: one below the inf pattern. */
+constexpr Time kLastFinite = Time(std::numeric_limits<Time::rep>::max() - 1);
+
+} // namespace
 
 Srm0Neuron::Srm0Neuron(std::vector<ResponseFunction> synapses,
                        ResponseFunction::Amp threshold)
@@ -34,13 +42,16 @@ Srm0Neuron::potentialAt(std::span<const Time> inputs, Time::rep t) const
 Time::rep
 Srm0Neuron::settleTime(std::span<const Time> inputs) const
 {
-    Time::rep settle = 0;
+    // Saturating sums, clamped to the largest finite time: a spike
+    // within tMax of the top must neither wrap settle below the first
+    // spike nor push the scan's bound to the inf pattern, where the
+    // t <= settle loop could never end.
+    Time settle = 0_t;
     for (size_t i = 0; i < inputs.size(); ++i) {
         if (inputs[i].isFinite())
-            settle = std::max(settle,
-                              inputs[i].value() + synapses_[i].tMax());
+            settle = std::max(settle, inputs[i] + synapses_[i].tMax());
     }
-    return settle;
+    return std::min(settle, kLastFinite).value();
 }
 
 Time

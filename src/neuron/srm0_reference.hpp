@@ -11,7 +11,8 @@
  * machinery: it sums integer amplitude samples on a discrete timeline.
  * The Fig. 12 construction (srm0_network.hpp) is validated against it —
  * they must agree on every input volley, which is this reproduction's
- * central cross-domain check.
+ * central cross-domain check — and so is the event sweep a TNN Column
+ * fires its neurons with (tnn/layer.hpp).
  */
 
 #ifndef ST_NEURON_SRM0_REFERENCE_HPP

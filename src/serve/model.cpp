@@ -1,5 +1,7 @@
 #include "serve/model.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
@@ -11,13 +13,21 @@ namespace st::serve {
 std::string
 wireVolley(std::span<const Time> v)
 {
-    std::ostringstream os;
+    // Runs once per volley on the batcher thread: format in place, no
+    // stream. A time is at most 20 digits, plus its separator.
+    std::string out(v.size() * 21, '\0');
+    char *p = out.data();
     for (size_t i = 0; i < v.size(); ++i) {
         if (i)
-            os << ' ';
-        os << v[i];
+            *p++ = ' ';
+        if (v[i].isInf()) {
+            p = std::copy_n("inf", 3, p);
+        } else {
+            p = std::to_chars(p, out.data() + out.size(), v[i].value()).ptr;
+        }
     }
-    return os.str();
+    out.resize(static_cast<size_t>(p - out.data()));
+    return out;
 }
 
 TnnServeModel::TnnServeModel(TnnNetwork net) : net_(std::move(net))

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <limits>
 
 #include "obs/flight.hpp"
@@ -559,8 +560,16 @@ Session::deliver(uint64_t seq, const std::string &payload,
         lastActivityMs_ = now_ms;
     }
     ST_OBS_ADD("serve.volleys.out", 1);
-    emit("volley " + std::to_string(seq) + " " + payload, now_ms,
-         /*may_block=*/false);
+    // One allocation per line: "volley <seq> <payload>".
+    std::string line;
+    line.reserve(7 + 21 + payload.size());
+    line += "volley ";
+    char seq_digits[20];
+    line.append(seq_digits,
+                std::to_chars(seq_digits, seq_digits + 20, seq).ptr);
+    line += ' ';
+    line += payload;
+    emit(std::move(line), now_ms, /*may_block=*/false);
 }
 
 void

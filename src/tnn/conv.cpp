@@ -95,14 +95,13 @@ Conv1dLayer::trainStep(std::span<const Time> input, const StdpRule &rule)
             winCount_[f] > least_wins + params_.fatigue) {
             continue;
         }
-        Srm0Neuron model = column_.neuronModel(f);
         for (size_t p = 0; p < numPositions_; ++p) {
             Time t = map[f * numPositions_ + p];
             if (t.isInf() || t > result.spikeTime)
                 continue;
             Volley local = window(input, p);
             ResponseFunction::Amp potential =
-                model.potentialAt(local, t.value());
+                column_.potentialAt(f, local, t.value());
             if (t < result.spikeTime || potential > best_potential) {
                 result.spikeTime = t;
                 result.feature = f;

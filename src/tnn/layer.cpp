@@ -12,16 +12,6 @@ namespace st {
 
 namespace {
 
-/**
- * Columns at least this wide fan their neurons out across the shared
- * pool in rawFireTimes(); narrower ones stay serial (the parallel-for
- * bookkeeping would cost more than the neuron evaluations).
- */
-constexpr size_t kParallelNeuronThreshold = 64;
-
-/** Chunk granularity for the intra-column parallel-for. */
-constexpr size_t kNeuronGrain = 16;
-
 std::vector<ResponseFunction>
 buildFamily(const ColumnParams &p)
 {
@@ -47,6 +37,23 @@ buildFamily(const ColumnParams &p)
     return family;
 }
 
+/** A fired synapse with steps still to come: its spike time, the time
+ *  of its next step, and its remaining steps [step, end). */
+struct Cursor
+{
+    Time::rep spike;
+    Time::rep next;
+    size_t step;
+    size_t end;
+};
+
+/** Heap order: the cursor with the earliest next event on top. */
+bool
+later(const Cursor &a, const Cursor &b)
+{
+    return a.next > b.next;
+}
+
 } // namespace
 
 Column::Column(const ColumnParams &params)
@@ -58,7 +65,6 @@ Column::Column(const ColumnParams &params)
         throw std::invalid_argument("Column: threshold must be >= 1");
 
     winCount_.assign(params_.numNeurons, 0);
-    modelCache_.resize(params_.numNeurons);
     Rng rng(params_.seed);
     weights_.resize(params_.numNeurons);
     for (auto &w : weights_) {
@@ -69,6 +75,7 @@ Column::Column(const ColumnParams &params)
             x = std::clamp(x, 0.0, 1.0);
         }
     }
+    buildTables();
 }
 
 Column::Column(const ColumnParams &params,
@@ -86,72 +93,125 @@ Column::Column(const ColumnParams &params,
             throw std::invalid_argument("Column: weight arity mismatch");
 
     winCount_.assign(params_.numNeurons, 0);
-    modelCache_.resize(params_.numNeurons);
     weights_ = std::move(weights);
+    buildTables();
 }
 
-Column::Column(const Column &other)
-    : params_(other.params_), family_(other.family_),
-      weights_(other.weights_), winCount_(other.winCount_),
-      modelCache_(other.params_.numNeurons)
+void
+Column::buildTables()
 {
-}
-
-Column &
-Column::operator=(const Column &other)
-{
-    if (this != &other) {
-        params_ = other.params_;
-        family_ = other.family_;
-        weights_ = other.weights_;
-        winCount_ = other.winCount_;
-        modelCache_.clear();
-        modelCache_.resize(params_.numNeurons);
+    // The potential at t is the sum of the deltas of every step with
+    // spike + offset <= t.
+    levelSteps_.clear();
+    steps_.clear();
+    for (const ResponseFunction &r : family_) {
+        LevelSteps level{0, steps_.size(), 0};
+        for (const ResponseFunction::Step &s : r.steps()) {
+            if (s.offset == 0)
+                level.atSpike = s.delta;
+            else
+                steps_.push_back(s);
+        }
+        level.end = steps_.size();
+        levelSteps_.push_back(level);
     }
-    return *this;
+
+    levels_.resize(params_.numNeurons * params_.numInputs);
+    for (size_t j = 0; j < params_.numNeurons; ++j)
+        rebuildRow(j);
+}
+
+void
+Column::rebuildRow(size_t neuron)
+{
+    // Levels fit 32 bits: family_ already holds maxWeight + 1
+    // responses.
+    const std::vector<double> &w = weights_[neuron];
+    uint32_t *row = levels_.data() + neuron * params_.numInputs;
+    for (size_t k = 0; k < params_.numInputs; ++k)
+        row[k] = static_cast<uint32_t>(
+            quantizeWeight(w[k], params_.maxWeight));
 }
 
 Srm0Neuron
 Column::neuronModel(size_t neuron) const
 {
-    return cachedModel(neuron);
-}
-
-const Srm0Neuron &
-Column::cachedModel(size_t neuron) const
-{
-    ModelSlot &slot = modelCache_.at(neuron);
-    if (Srm0Neuron *hit = slot.ptr.load(std::memory_order_acquire))
-        return *hit;
-
+    // Quantized from the shadow weights, not read from the level
+    // table, so the oracle stays independent of the sweep's state.
     const std::vector<double> &w = weights(neuron);
     std::vector<ResponseFunction> synapses;
     synapses.reserve(w.size());
-    for (double x : w) {
-        synapses.push_back(
-            family_[quantizeWeight(x, params_.maxWeight)]);
-    }
-    auto fresh = std::make_unique<Srm0Neuron>(std::move(synapses),
-                                              params_.threshold);
-
-    // Concurrent readers may race to build the same slot; the CAS
-    // picks one winner and the losers discard their copy. The build
-    // is a pure function of the (unchanging, single-writer) weights,
-    // so every candidate is equivalent.
-    Srm0Neuron *expected = nullptr;
-    if (slot.ptr.compare_exchange_strong(expected, fresh.get(),
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_acquire)) {
-        return *fresh.release();
-    }
-    return *expected;
+    for (double x : w)
+        synapses.push_back(family_[quantizeWeight(x, params_.maxWeight)]);
+    return Srm0Neuron(std::move(synapses), params_.threshold);
 }
 
-void
-Column::invalidateModel(size_t neuron)
+ResponseFunction::Amp
+Column::potentialAt(size_t neuron, std::span<const Time> inputs,
+                    Time::rep t) const
 {
-    delete modelCache_.at(neuron).ptr.exchange(
-        nullptr, std::memory_order_acq_rel);
+    if (neuron >= params_.numNeurons)
+        throw std::out_of_range("Column: no such neuron");
+    if (inputs.size() != params_.numInputs)
+        throw std::invalid_argument("Column: arity mismatch");
+    const uint32_t *row = levels_.data() + neuron * params_.numInputs;
+    ResponseFunction::Amp sum = 0;
+    for (size_t k = 0; k < inputs.size(); ++k) {
+        const Time x = inputs[k];
+        if (x.isFinite() && x.value() <= t)
+            sum += family_[row[k]].at(t - x.value());
+    }
+    return sum;
+}
+
+Time
+Column::sweep(size_t neuron, std::span<const Spike> spikes) const
+{
+    const uint32_t *row = levels_.data() + neuron * params_.numInputs;
+    const ResponseFunction::Amp theta = params_.threshold;
+    ResponseFunction::Amp sum = 0;
+    // Each round takes the earliest time t among the next spike and
+    // the pending steps. A spike at t applies its jump at the spike
+    // (all of a Step synapse's response) and queues its later steps;
+    // the pending steps at t come off the heap. A step past the
+    // largest finite time saturates to inf and never lands, exactly
+    // as the reference scan never reaches it.
+    static thread_local std::vector<Cursor> heap;
+    heap.clear();
+    size_t i = 0; // spikes[i] is the first spike not yet reached
+    while (i < spikes.size() || !heap.empty()) {
+        Time::rep t = heap.empty() ? spikes[i].time : heap.front().next;
+        if (i < spikes.size())
+            t = std::min(t, spikes[i].time);
+        for (; i < spikes.size() && spikes[i].time == t; ++i) {
+            const LevelSteps &level = levelSteps_[row[spikes[i].input]];
+            sum += level.atSpike;
+            if (level.begin == level.end)
+                continue;
+            const Time due = Time(t) + steps_[level.begin].offset;
+            if (due.isFinite()) {
+                heap.push_back({t, due.value(), level.begin, level.end});
+                std::push_heap(heap.begin(), heap.end(), later);
+            }
+        }
+        while (!heap.empty() && heap.front().next == t) {
+            std::pop_heap(heap.begin(), heap.end(), later);
+            Cursor &c = heap.back();
+            sum += steps_[c.step].delta;
+            Time due = INF;
+            if (++c.step != c.end)
+                due = Time(c.spike) + steps_[c.step].offset;
+            if (due.isInf()) {
+                heap.pop_back();
+            } else {
+                c.next = due.value();
+                std::push_heap(heap.begin(), heap.end(), later);
+            }
+        }
+        if (sum >= theta)
+            return Time(t);
+    }
+    return INF;
 }
 
 std::vector<Time>
@@ -169,6 +229,7 @@ Column::rawFireTimesInto(std::span<const Time> inputs,
     if (inputs.size() != params_.numInputs)
         throw std::invalid_argument("Column: arity mismatch");
     out.resize(params_.numNeurons);
+    static thread_local std::vector<Spike> spikes;
     // Synapse-path fault hook: with synDelayJitter configured, neuron
     // j sees input k delayed by a fixed extra amount drawn per
     // (column seed, j, k) — a mis-sized dendritic delay line, constant
@@ -177,26 +238,25 @@ Column::rawFireTimesInto(std::span<const Time> inputs,
     const fault::FaultInjector *inj = fault::activeInjector();
     if (inj != nullptr && inj->spec().synDelayJitter == 0)
         inj = nullptr;
-    auto fireOne = [&](size_t j) {
-        if (inj == nullptr)
-            return cachedModel(j).fire(inputs);
-        static thread_local std::vector<Time> delayed;
-        delayed.resize(inputs.size());
+    if (inj == nullptr) {
+        spikes.clear();
         for (size_t k = 0; k < inputs.size(); ++k)
-            delayed[k] =
-                inputs[k] + inj->synapseDelay(params_.seed, j, k);
-        return cachedModel(j).fire(delayed);
-    };
-    if (params_.numNeurons >= kParallelNeuronThreshold) {
-        // Each neuron writes only its own slot, so the result is
-        // bit-identical to the serial loop for any thread count.
-        ThreadPool::shared().parallelFor(
-            0, params_.numNeurons, kNeuronGrain, [&](size_t j) {
-                out[j] = fireOne(j);
-            });
-    } else {
+            if (inputs[k].isFinite())
+                spikes.push_back({inputs[k].value(), k});
+        std::sort(spikes.begin(), spikes.end());
         for (size_t j = 0; j < params_.numNeurons; ++j)
-            out[j] = fireOne(j);
+            out[j] = sweep(j, spikes);
+        return;
+    }
+    for (size_t j = 0; j < params_.numNeurons; ++j) {
+        spikes.clear();
+        for (size_t k = 0; k < inputs.size(); ++k) {
+            const Time x = inputs[k] + inj->synapseDelay(params_.seed, j, k);
+            if (x.isFinite())
+                spikes.push_back({x.value(), k});
+        }
+        std::sort(spikes.begin(), spikes.end());
+        out[j] = sweep(j, spikes);
     }
 }
 
@@ -251,7 +311,7 @@ Column::selectWinner(std::span<const Time> inputs,
         if (fired[j].isInf() || fired[j] > best_spike)
             continue;
         ResponseFunction::Amp potential =
-            cachedModel(j).potentialAt(inputs, fired[j].value());
+            potentialAt(j, inputs, fired[j].value());
         if (fired[j] < best_spike || potential > best_potential) {
             best_spike = fired[j];
             event = TrainEvent{0, j, fired[j]};
@@ -275,7 +335,7 @@ Column::trainStep(std::span<const Time> inputs, const StdpRule &rule)
         result.spikeTime = event->spike;
         ++winCount_[event->neuron];
         rule.update(weights_[event->neuron], inputs, event->spike);
-        invalidateModel(event->neuron);
+        rebuildRow(event->neuron);
         ST_OBS_ADD("tnn.weight_updates", 1);
         ST_OBS_HIST("tnn.wta.winner", event->neuron);
     }
@@ -306,7 +366,7 @@ Column::applyTrainEvents(std::span<const std::optional<TrainEvent>> slots,
         ++winCount_[event.neuron];
         rule.update(weights_[event.neuron], inputs[event.sample],
                     event.spike);
-        invalidateModel(event.neuron);
+        rebuildRow(event.neuron);
         ST_OBS_HIST("tnn.wta.winner", event.neuron);
     }
     ST_OBS_ADD("tnn.weight_updates", merged.size());
@@ -320,8 +380,7 @@ Column::trainBatch(std::span<const Volley> inputs, const StdpRule &rule,
     ST_TRACE_SPAN("tnn.train_batch");
     ST_OBS_ADD("tnn.train_samples", inputs.size());
     // Phase 1 (parallel, read-only): pick every sample's winner
-    // against the batch-start weights and fatigue counters. The
-    // model cache is shared and safe under concurrent readers.
+    // against the batch-start weights and fatigue counters.
     const size_t least_wins = leastWins();
     std::vector<std::optional<TrainEvent>> slots(inputs.size());
     size_t lanes = nthreads == 0 ? ThreadPool::defaultThreads()
@@ -365,7 +424,7 @@ Column::setWeights(size_t neuron, std::vector<double> w)
     if (w.size() != params_.numInputs)
         throw std::invalid_argument("Column: weight arity mismatch");
     weights_.at(neuron) = std::move(w);
-    invalidateModel(neuron);
+    rebuildRow(neuron);
 }
 
 std::vector<size_t>

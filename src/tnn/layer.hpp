@@ -17,10 +17,10 @@
 #ifndef ST_TNN_LAYER_HPP
 #define ST_TNN_LAYER_HPP
 
-#include <atomic>
+#include <compare>
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "neuron/response.hpp"
@@ -82,9 +82,20 @@ struct TrainResult
 /**
  * A column of SRM0 neurons with shared input and lateral inhibition.
  *
+ * Evaluation follows the Fig. 12 rule rather than a tick-by-tick scan:
+ * a synapse's response is a list of (offset, amplitude delta) steps,
+ * so a neuron's potential changes only at spike-plus-offset events,
+ * and its output is the first event time at which the running sum,
+ * with every event at that time applied, reaches theta. The column
+ * keeps each neuron's quantized weight levels in one row-major table
+ * and each level's steps once, so the cost per volley grows with the
+ * number of events, never with the time between them. The answer is
+ * bit-for-bit Srm0Neuron::fire() on neuronModel(), which the tests
+ * hold it to.
+ *
  * Thread safety: the const evaluation path (rawFireTimes, process,
- * neuronModel) may be called from any number of threads concurrently —
- * the lazy model cache publishes entries atomically. Mutation
+ * potentialAt, neuronModel) may be called from any number of threads
+ * concurrently; each thread sweeps in its own scratch. Mutation
  * (trainStep, trainBatch, setWeights, resetFatigue, assignment) is
  * single-writer: it must not overlap any other call on the same
  * Column. The batch engine respects this by separating the parallel
@@ -105,12 +116,6 @@ class Column
      */
     Column(const ColumnParams &params,
            std::vector<std::vector<double>> weights);
-
-    /** Copies share nothing; the lazy model cache starts empty. */
-    Column(const Column &other);
-    Column &operator=(const Column &other);
-    Column(Column &&) = default;
-    Column &operator=(Column &&) = default;
 
     /** Column configuration. */
     const ColumnParams &params() const { return params_; }
@@ -211,8 +216,18 @@ class Column
     std::vector<size_t> discreteWeights(size_t neuron) const;
 
     /**
+     * Body potential of @p neuron at absolute time @p t on @p inputs:
+     * Srm0Neuron::potentialAt() of neuronModel(), read from the level
+     * table (the training tie-break).
+     */
+    ResponseFunction::Amp potentialAt(size_t neuron,
+                                      std::span<const Time> inputs,
+                                      Time::rep t) const;
+
+    /**
      * The reference SRM0 model a neuron currently implements (quantized
-     * weights applied to the response family).
+     * weights applied to the response family), built on each call: the
+     * oracle the event sweep is tested against.
      */
     Srm0Neuron neuronModel(size_t neuron) const;
 
@@ -220,47 +235,37 @@ class Column
     const std::vector<ResponseFunction> &family() const { return family_; }
 
   private:
-    /**
-     * One lazily built model, published with an atomic
-     * compare-exchange so concurrent const readers may build it
-     * without locking (losers discard their build). Mutation of the
-     * owning Column — which invalidates slots — is single-writer and
-     * must not overlap readers (see the class comment).
-     */
-    struct ModelSlot
+    /** A finite input spike: its time and the input it arrived on,
+     *  ordered by (time, input). */
+    struct Spike
     {
-        std::atomic<Srm0Neuron *> ptr{nullptr};
+        Time::rep time;
+        size_t input;
 
-        ModelSlot() = default;
-        ModelSlot(ModelSlot &&other) noexcept
-            : ptr(other.ptr.exchange(nullptr,
-                                     std::memory_order_relaxed))
-        {
-        }
-        ModelSlot &
-        operator=(ModelSlot &&other) noexcept
-        {
-            if (this != &other) {
-                delete ptr.exchange(
-                    other.ptr.exchange(nullptr,
-                                       std::memory_order_relaxed),
-                    std::memory_order_relaxed);
-            }
-            return *this;
-        }
-        ~ModelSlot()
-        {
-            delete ptr.load(std::memory_order_relaxed);
-        }
+        auto operator<=>(const Spike &) const = default;
     };
 
-    /** Cached reference model for one neuron (weights rarely change
-     *  between evaluations, so rebuilding per fire() call is wasted
-     *  work in training loops). Safe under concurrent const readers. */
-    const Srm0Neuron &cachedModel(size_t neuron) const;
+    /** A level's response as the sweep reads it: the jump at the
+     *  spike itself, then the later steps steps_[begin, end). */
+    struct LevelSteps
+    {
+        ResponseFunction::Amp atSpike;
+        size_t begin;
+        size_t end;
+    };
 
-    /** Drop a neuron's cached model after its weights changed. */
-    void invalidateModel(size_t neuron);
+    /** Build the step tables from family_ and every level row. */
+    void buildTables();
+
+    /** Re-quantize one neuron's row of the level table. */
+    void rebuildRow(size_t neuron);
+
+    /**
+     * The Fig. 12 rule for one neuron: sweep its events in time order
+     * over @p spikes, sorted by (time, input), and return the first
+     * event time at which the potential reaches theta, or inf.
+     */
+    Time sweep(size_t neuron, std::span<const Spike> spikes) const;
 
     /**
      * The trainStep()/trainBatch() competition: earliest spike wins,
@@ -275,8 +280,12 @@ class Column
     std::vector<ResponseFunction> family_; //!< indexed by discrete weight
     std::vector<std::vector<double>> weights_; //!< [neuron][input]
     std::vector<size_t> winCount_;             //!< fatigue bookkeeping
-    /** Lazily built quantized models, invalidated on weight changes. */
-    mutable std::vector<ModelSlot> modelCache_;
+    /** Quantized weights, [neuron * numInputs + input]; a row is
+     *  rebuilt whenever that neuron's weights change. */
+    std::vector<uint32_t> levels_;
+    /** Indexed by level: family_[l].steps() as a LevelSteps. */
+    std::vector<LevelSteps> levelSteps_;
+    std::vector<ResponseFunction::Step> steps_;
 };
 
 } // namespace st

@@ -2,13 +2,13 @@
  * @file
  * Work-stealing thread pool for batch-parallel volley processing.
  *
- * The paper's computation model is embarrassingly parallel at two
- * levels: neurons within a column fire independently of one another
- * (Sec. IV's SRM0 bank), and distinct input volleys in a stream are
- * independent by construction. ThreadPool is the shared substrate for
- * both: a fixed set of workers, one task deque per worker, and
- * stealing from the front of a victim's deque when a worker's own
- * deque runs dry.
+ * The paper's computation model is embarrassingly parallel: distinct
+ * input volleys in a stream are independent by construction, and so
+ * are the neurons of a column (Sec. IV's SRM0 bank), though a whole
+ * column fires in less time than a pool hand-off costs, so the batch
+ * APIs split their work by volley. ThreadPool is the shared substrate:
+ * a fixed set of workers, one task deque per worker, and stealing from
+ * the front of a victim's deque when a worker's own deque runs dry.
  *
  * Determinism contract: parallelFor() partitions [begin, end) into a
  * fixed chunk layout that depends only on the range, the grain and the

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "test_helpers.hpp"
 #include "tnn/layer.hpp"
 
@@ -296,7 +298,7 @@ TEST(Column, CopiesAreIndependent)
 {
     Column a(smallParams());
     a.setWeights(0, {1.0, 1.0, 1.0, 1.0});
-    (void)a.rawFireTimes(V({0, 0, 0, 0})); // populate the model cache
+    (void)a.rawFireTimes(V({0, 0, 0, 0})); // fire before copying
     Column b = a;
     EXPECT_EQ(b.weights(0), a.weights(0));
     EXPECT_EQ(b.rawFireTimes(V({0, 1, 2, 3})),
@@ -308,13 +310,13 @@ TEST(Column, CopiesAreIndependent)
 
 TEST(Column, CachedModelsTrackWeightChanges)
 {
-    // The lazy model cache must never serve stale neurons.
+    // The level table must never serve stale neurons.
     Column col(smallParams());
     col.setWeights(0, {1.0, 1.0, 1.0, 1.0});
     EXPECT_TRUE(col.rawFireTimes(V({0, 0, 0, 0}))[0].isFinite());
     col.setWeights(0, {0.0, 0.0, 0.0, 0.0});
     EXPECT_EQ(col.rawFireTimes(V({0, 0, 0, 0}))[0], INF);
-    // Training updates invalidate too: repeated potentiation of the
+    // Training updates rebuild rows too: repeated potentiation of the
     // early line moves the only live neuron's fire time from t=1
     // (needs two spikes) to t=0 (the strengthened first spike alone).
     col.setWeights(0, {0.0, 0.0, 0.0, 0.0});
@@ -326,6 +328,52 @@ TEST(Column, CachedModelsTrackWeightChanges)
     for (int i = 0; i < 6; ++i)
         col.trainStep(x, rule);
     EXPECT_EQ(col.rawFireTimes(x)[1], 0_t);
+}
+
+TEST(Column, FarApartSpikesFireAtTheClosedFormTime)
+{
+    // Two synapses at the top level, spikes a <= b. With theta above
+    // one level but not two, a non-leaky column fires on the second
+    // spike however late it comes; a leaky one never fires (the first
+    // response has decayed by b, or the top of the time range cuts
+    // the sum off). With theta under one response's peak, the first
+    // spike crosses alone, at a plus the response's rise to theta
+    // (saturating: inf past the top). The answer may not cost time in
+    // proportion to b - a.
+    constexpr Time::rep kTop = std::numeric_limits<Time::rep>::max() - 1;
+    constexpr Time::rep kGap = Time::rep{1} << 40;
+    const Time::rep kPairs[][2] = {
+        {0, kGap}, {kTop - kGap, kTop}, {kTop - 3, kTop}, {kTop, kTop}};
+    const ResponseShape kShapes[] = {ResponseShape::Step,
+                                     ResponseShape::Biexponential,
+                                     ResponseShape::PiecewiseLinear};
+    const std::vector<std::vector<double>> top(32, {1.0, 1.0});
+    for (ResponseShape shape : kShapes) {
+        ColumnParams p;
+        p.numInputs = 2;
+        p.numNeurons = 32;
+        p.maxWeight = 7;
+        p.shape = shape;
+        for (ResponseFunction::Amp theta : {12, 5, 1}) {
+            p.threshold = theta;
+            Column col(p, top);
+            const ResponseFunction &r = col.family().back();
+            Time::rep rise = 0;
+            while (r.at(rise) < theta && rise <= r.tMax())
+                ++rise;
+            for (const auto &[a, b] : kPairs) {
+                Time want = INF;
+                if (theta <= r.peak())
+                    want = Time(a) + rise;
+                else if (shape == ResponseShape::Step)
+                    want = Time(b);
+                const std::vector<Time> raw = col.rawFireTimes(V({a, b}));
+                for (Time t : raw)
+                    ASSERT_EQ(t, want) << "theta " << theta << " spikes "
+                                       << a << ", " << b;
+            }
+        }
+    }
 }
 
 TEST(Column, SetWeightsValidatesArity)

@@ -53,7 +53,7 @@ makeNetwork(uint64_t seed)
     TnnNetwork net;
     ColumnParams l0;
     l0.numInputs = 24;
-    l0.numNeurons = 80; // >= threshold: exercises intra-column fan-out
+    l0.numNeurons = 80; // wide: 80 neuron sweeps per sorted volley
     l0.threshold = 8;
     l0.wtaTau = 3;
     l0.wtaK = 6;
@@ -278,10 +278,10 @@ TEST(ParallelBatchTest, MultiThreadedBatchTakesThePipelinedPath)
 
 TEST(ParallelBatchTest, ConcurrentColdCacheProcessIsSafe)
 {
-    // Regression for the model-cache race: a freshly constructed
-    // column has an empty cache, so a parallel batch makes many
-    // threads build models concurrently. Under TSan this test fails
-    // if the cache publication is not properly synchronized.
+    // A freshly constructed network, first used by a parallel batch:
+    // many threads sweep the same columns at once, each in its own
+    // scratch. Under TSan this test fails if any sweep state is
+    // shared between threads.
     TnnNetwork net = makeNetwork(0xcafe);
     std::vector<Volley> batch = makeBatch(24, 64, 31337);
     std::vector<Volley> parallel_first = net.processBatch(batch, 8);

@@ -16,6 +16,7 @@ namespace st {
 namespace {
 
 using Amp = ResponseFunction::Amp;
+using Step = ResponseFunction::Step;
 
 /** Reconstruct A(t) from up/down steps; must reproduce at(t). */
 Amp
@@ -33,6 +34,18 @@ amplitudeFromSteps(const ResponseFunction &r, Time::rep t)
     return a;
 }
 
+/** Reconstruct A(t) from the (offset, delta) jumps of steps(). */
+Amp
+amplitudeFromJumps(const ResponseFunction &r, Time::rep t)
+{
+    Amp a = 0;
+    for (const Step &s : r.steps()) {
+        if (s.offset <= t)
+            a += s.delta;
+    }
+    return a;
+}
+
 TEST(Response, EmptyResponseIsZero)
 {
     ResponseFunction r;
@@ -43,6 +56,7 @@ TEST(Response, EmptyResponseIsZero)
     EXPECT_EQ(r.tMax(), 0u);
     EXPECT_TRUE(r.upSteps().empty());
     EXPECT_TRUE(r.downSteps().empty());
+    EXPECT_TRUE(r.steps().empty());
 }
 
 TEST(Response, TrimsFlatTailToCanonicalForm)
@@ -137,14 +151,16 @@ TEST(Response, PiecewiseLinearRejectsZeroLengths)
 TEST(Response, UpDownStepsReconstructAmplitude)
 {
     // The core Fig. 11 property: the fanout taps (unit steps) carry the
-    // complete response information.
+    // complete response information, and so do the jumps they split.
     for (const ResponseFunction &r :
          {ResponseFunction::biexponential(5, 4.0, 1.0),
           ResponseFunction::piecewiseLinear(3, 2, 5),
           ResponseFunction::step(4, 2),
           ResponseFunction({0, 2, 1, 3, 0, -1, 0})}) {
-        for (Time::rep t = 0; t <= r.tMax() + 2; ++t)
+        for (Time::rep t = 0; t <= r.tMax() + 2; ++t) {
             EXPECT_EQ(amplitudeFromSteps(r, t), r.at(t)) << "t=" << t;
+            EXPECT_EQ(amplitudeFromJumps(r, t), r.at(t)) << "t=" << t;
+        }
     }
 }
 
@@ -154,6 +170,7 @@ TEST(Response, StepsAreSortedWithMultiplicity)
     // +2 at t=1, +3 at t=3.
     EXPECT_EQ(r.upSteps(), (std::vector<Time::rep>{1, 1, 3, 3, 3}));
     EXPECT_TRUE(r.downSteps().empty());
+    EXPECT_EQ(r.steps(), (std::vector<Step>{{1, 2}, {3, 3}}));
 }
 
 TEST(Response, NegatedModelsInhibition)

@@ -5,7 +5,8 @@
  * with line-numbered errors), window framing equivalence with the
  * offline AerStream::sliceWindows, the end-to-end StreamServer path
  * (multi-session ordering, deadline drops, poisoned-batch isolation,
- * graceful drain), and the health JSON shape.
+ * graceful drain, a volley whose spikes are 2^61 ticks apart), and the
+ * health JSON shape.
  *
  * Everything here is in-process and socket-free; the TCP and pipe
  * transports have their own suite (serve_transport_test.cpp), and the
@@ -20,6 +21,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -994,11 +996,56 @@ TEST(StreamServer, HealthTopKBoundsPerSessionDetail)
     server.waitDrained();
 }
 
+TEST(StreamServer, FarApartEventsAnswerAtTheClosedFormTime)
+{
+    // One neuron, two step synapses at the top level (7 each): theta
+    // 10 needs both spikes, so the neuron fires on the second one,
+    // 2^61 ticks after the first. The batcher must answer at once —
+    // the model's cost may not grow with the time between spikes.
+    ColumnParams p;
+    p.numInputs = 2;
+    p.numNeurons = 1;
+    p.threshold = 10;
+    p.maxWeight = 7;
+    TnnNetwork net;
+    net.addLayer(Column(p, {{1.0, 1.0}}));
+    StreamServer server(std::make_unique<TnnServeModel>(net), ServeConfig{});
+    server.start();
+    auto open = server.openSession("far");
+    ASSERT_TRUE(open.session != nullptr);
+    Session &s = *open.session;
+    s.feedLine("stserve 1", steadyNowMs());
+    s.feedLine("addresses 2 window 4611686018427387904", steadyNowMs());
+    s.feedLine("5 0", steadyNowMs());
+    s.feedLine("2305843009213693957 1", steadyNowMs()); // 5 + 2^61
+    s.feedLine("end", steadyNowMs());
+
+    const std::vector<std::string> lines = drainAll(s);
+    ASSERT_EQ(lines.size(), 3u);
+    EXPECT_EQ(lines[0].rfind("stserve-ok ", 0), 0u) << lines[0];
+    EXPECT_EQ(lines[1], "volley 0 2305843009213693957");
+    EXPECT_EQ(lines[2], "end volleys 1 drops 0");
+    server.requestStop();
+    EXPECT_TRUE(server.waitDrained());
+}
+
 TEST(WireVolley, EncodesInfAndFiniteTimes)
 {
     Volley v = {Time(0), INF, Time(3)};
     EXPECT_EQ(wireVolley(v), "0 inf 3");
     EXPECT_EQ(wireVolley(Volley{}), "");
+    EXPECT_EQ(wireVolley(Volley{Time(18446744073709551614ull)}),
+              "18446744073709551614");
+    EXPECT_EQ(wireVolley(Volley{INF}), "inf");
+
+    // A 16-wide mixed volley reads exactly as the streamed form.
+    Volley wide;
+    for (uint64_t i = 0; i < 16; ++i)
+        wide.push_back(i % 3 == 1 ? INF : Time(i * 0x9e3779b97f4a7c1ull));
+    std::ostringstream os;
+    for (size_t i = 0; i < wide.size(); ++i)
+        os << (i ? " " : "") << wide[i];
+    EXPECT_EQ(wireVolley(wide), os.str());
 }
 
 } // namespace

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/properties.hpp"
 #include "neuron/srm0_network.hpp"
 #include "neuron/srm0_reference.hpp"
@@ -98,6 +100,30 @@ TEST(Srm0Reference, PotentialAtSumsShiftedResponses)
     EXPECT_EQ(n.potentialAt(V({1, 3}), 3), 2);
 }
 
+TEST(Srm0Reference, SpikeNearTheTopOfTheTimeRangeStillFires)
+{
+    // x + tMax wraps past 2^64 - 1; the scan must still run from x.
+    constexpr Time::rep kTop = std::numeric_limits<Time::rep>::max() - 1;
+    ResponseFunction r = ResponseFunction::biexponential(7, 4.0, 1.0);
+    ASSERT_EQ(r.at(0), 0);
+    ASSERT_GE(r.at(1), 1);
+    Srm0Neuron n({r}, 1);
+    EXPECT_EQ(n.fire(V({kTop - 2})), Time(kTop - 1));
+    // The crossing would land on the inf pattern: no spike.
+    EXPECT_EQ(n.fire(V({kTop})), INF);
+}
+
+TEST(Srm0Reference, SettleOnTheInfPatternEndsTheScan)
+{
+    // x + tMax == 2^64 - 1 exactly, and theta is never reached: the
+    // scan must stop at the largest finite time instead of wrapping.
+    ResponseFunction r = ResponseFunction::biexponential(2, 4.0, 1.0);
+    const Time::rep x = std::numeric_limits<Time::rep>::max() - r.tMax();
+    Srm0Neuron n({r, r}, 100);
+    EXPECT_EQ(n.fire(V({x, kNo})), INF);
+    EXPECT_EQ(n.trajectory(V({x, kNo})).size(), r.tMax());
+}
+
 TEST(Srm0Network, MatchesReferenceOnStepSynapses)
 {
     std::vector<ResponseFunction> syn{ResponseFunction::step(1),
@@ -144,6 +170,9 @@ class Srm0Equivalence : public ::testing::TestWithParam<uint64_t>
 TEST_P(Srm0Equivalence, NetworkEqualsReferenceOnRandomNeurons)
 {
     Rng rng(GetParam());
+    // The lifts draw from their own stream, so rng yields the same
+    // neurons and volleys as without them.
+    Rng lifts(GetParam() + 1);
     for (int trial = 0; trial < 8; ++trial) {
         size_t arity = 2 + rng.below(3);
         std::vector<ResponseFunction> syn;
@@ -175,6 +204,14 @@ TEST_P(Srm0Equivalence, NetworkEqualsReferenceOnRandomNeurons)
         Network net = buildSrm0Network(syn, theta);
         for (int s = 0; s < 60; ++s) {
             auto x = testing::randomVolley(rng, arity, 12, 0.2);
+            EXPECT_EQ(net.evaluate(x)[0], ref.fire(x))
+                << "theta=" << theta << " at " << volleyStr(x);
+            // The same volley pushed against the top of the time
+            // range, where responses run past the last finite time.
+            const Time::rep lift =
+                std::numeric_limits<Time::rep>::max() - 13 - lifts.below(8);
+            for (Time &t : x)
+                t = t + lift;
             EXPECT_EQ(net.evaluate(x)[0], ref.fire(x))
                 << "theta=" << theta << " at " << volleyStr(x);
         }
