@@ -122,7 +122,8 @@ looksLikeStmf(const std::string &path)
  * and the directory watcher: pick the candidate (newest valid *.stmf
  * in dir mode, the fixed path otherwise), load it, and swap it in
  * through the server's canary. Internally synchronized — the server
- * may invoke it from the reaper or a transport thread concurrently.
+ * may invoke it from its housekeeping thread or a transport thread
+ * concurrently.
  */
 struct ModelReloader
 {

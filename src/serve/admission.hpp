@@ -52,7 +52,7 @@ class AdmissionController
     /**
      * Decay offender penalties: halve every offenderDecayMs since the
      * last reject; fully healed entries are dropped. Called
-     * periodically by the server's reaper tick.
+     * periodically by the server's housekeeping tick.
      */
     void decay(uint64_t now_ms);
 

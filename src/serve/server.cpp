@@ -16,7 +16,15 @@ namespace st::serve {
 
 namespace {
 
-/** Signal flag polled by the reaper (handler-safe: one atomic store). */
+/** Housekeeping period, and so the watchdog's resolution. */
+constexpr std::chrono::milliseconds kTick{20};
+
+/** Grace for force-closed sessions to retire after the drain deadline
+ *  before the threads stop regardless. */
+constexpr uint64_t kDrainGraceMs = 1000;
+
+/** Signal flags polled by the housekeeping tick (handler-safe: one
+ *  atomic store each). */
 std::atomic<StreamServer *> g_signal_server{nullptr};
 std::atomic<bool> g_stop_requested{false};
 std::atomic<bool> g_reload_requested{false};
@@ -95,10 +103,8 @@ StreamServer::StreamServer(std::shared_ptr<ServeModel> model,
 
 StreamServer::~StreamServer()
 {
-    if (running_.load(std::memory_order_acquire)) {
-        requestStop();
+    if (running_.load(std::memory_order_acquire))
         waitDrained();
-    }
     if (g_signal_server.load(std::memory_order_acquire) == this)
         installSignalHandlers(nullptr);
 }
@@ -111,8 +117,7 @@ StreamServer::start()
         return;
     stopThreads_.store(false, std::memory_order_release);
     batcher_ = std::thread([this] { batcherLoop(); });
-    watchdog_ = std::thread([this] { watchdogLoop(); });
-    reaper_ = std::thread([this] { reaperLoop(); });
+    housekeeper_ = std::thread([this] { housekeeperLoop(); });
 }
 
 void
@@ -122,7 +127,17 @@ StreamServer::notifyWork()
         std::lock_guard<std::mutex> lock(workMutex_);
         workFlag_ = true;
     }
-    workCv_.notify_all();
+    workCv_.notify_one();
+}
+
+void
+StreamServer::wakeHousekeeper()
+{
+    {
+        std::lock_guard<std::mutex> lock(tickMutex_);
+        tickFlag_ = true;
+    }
+    tickCv_.notify_one();
 }
 
 StreamServer::OpenResult
@@ -137,8 +152,7 @@ StreamServer::openSession(const std::string &client_key)
         // count check and overshoot the bound.
         std::lock_guard<std::mutex> lock(sessionsMutex_);
         const AdmissionController::Decision d = admission_.tryAdmit(
-            client_key, now, sessions_.size(),
-            draining_.load(std::memory_order_acquire));
+            client_key, now, sessions_.size(), draining());
         if (!d.admit) {
             result.retryAfterMs = d.retryAfterMs;
             result.reason = d.reason;
@@ -148,6 +162,9 @@ StreamServer::openSession(const std::string &client_key)
         session = std::make_shared<Session>(
             id, config_, registry_.current()->model->numInputs(),
             [this] { notifyWork(); });
+        // Admission starts the idle clock: a peer that never sends a
+        // line is reaped like one that went quiet.
+        session->touch(now);
         sessions_.emplace(id, session);
         ST_OBS_GAUGE_SET("serve.sessions.active", sessions_.size());
     }
@@ -166,77 +183,52 @@ StreamServer::activeSessions() const
     return sessions_.size();
 }
 
+std::vector<std::shared_ptr<Session>>
+StreamServer::sessionSnapshot() const
+{
+    std::vector<std::shared_ptr<Session>> snapshot;
+    std::lock_guard<std::mutex> lock(sessionsMutex_);
+    snapshot.reserve(sessions_.size());
+    for (const auto &[id, s] : sessions_)
+        snapshot.push_back(s);
+    return snapshot;
+}
+
 void
 StreamServer::requestStop()
 {
-    bool expected = false;
-    if (!draining_.compare_exchange_strong(expected, true))
+    // The start time is the draining flag, so whoever sees the drain
+    // sees its start; the clock is clamped so no drain starts at 0.
+    const uint64_t now = std::max<uint64_t>(steadyNowMs(), 1);
+    uint64_t not_draining = 0;
+    if (!drainStartedMs_.compare_exchange_strong(not_draining, now))
         return;
-    drainStartedMs_ = steadyNowMs();
     ST_OBS_ADD("serve.drain.requested", 1);
     obs::FlightRecorder::instance().record("drain.request", 0, 0);
+    wakeHousekeeper();
     notifyWork();
 }
 
 bool
-StreamServer::waitDrained(uint64_t timeout_ms)
+StreamServer::waitDrained()
 {
     if (!running_.load(std::memory_order_acquire))
         return true;
-    const uint64_t budget =
-        timeout_ms == 0 ? config_.drainDeadlineMs : timeout_ms;
-    const uint64_t deadline = steadyNowMs() + budget;
-    while (activeSessions() > 0 && steadyNowMs() < deadline) {
-        notifyWork();
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    if (activeSessions() > 0) {
-        // Past the deadline: the contract is a bounded shutdown, so
-        // the stragglers are force-closed and accounted.
-        drainedCleanly_.store(0, std::memory_order_release);
-        std::vector<std::shared_ptr<Session>> leftover;
-        {
-            std::lock_guard<std::mutex> lock(sessionsMutex_);
-            for (auto &[id, s] : sessions_)
-                leftover.push_back(s);
-        }
-        const uint64_t now = steadyNowMs();
-        ST_LOG_WARN("serve.drain",
-                    "drain deadline exceeded; force-closing " +
-                        std::to_string(leftover.size()) +
-                        " session(s)");
-        for (auto &s : leftover) {
-            ST_OBS_ADD("serve.drain.forced", 1);
-            obs::FlightRecorder::instance().record("drain.forced",
-                                                   s->id(), 0);
-            s->forceClose("drain deadline exceeded", now);
-        }
-        notifyWork();
-        const uint64_t grace = steadyNowMs() + 1000;
-        while (activeSessions() > 0 && steadyNowMs() < grace)
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    stopThreads_.store(true, std::memory_order_release);
-    notifyWork();
-    if (batcher_.joinable())
-        batcher_.join();
-    if (watchdog_.joinable())
-        watchdog_.join();
-    if (reaper_.joinable())
-        reaper_.join();
+    requestStop();
+    // The housekeeper ends the drain, cleanly or at the deadline plus
+    // grace, and stops the batcher on its way out.
+    housekeeper_.join();
+    batcher_.join();
     running_.store(false, std::memory_order_release);
-    const bool clean =
-        drainedCleanly_.load(std::memory_order_acquire) != 0;
-    obs::FlightRecorder::instance().record("drain.done", clean ? 1 : 0,
-                                           0);
-    return clean;
+    obs::FlightRecorder::instance().record("drain.done",
+                                           drainedCleanly_ ? 1 : 0, 0);
+    return drainedCleanly_;
 }
 
 bool
 StreamServer::ready() const
 {
-    return running_.load(std::memory_order_acquire) &&
-           !draining_.load(std::memory_order_acquire) &&
+    return running_.load(std::memory_order_acquire) && !draining() &&
            !watchdogTripped_.load(std::memory_order_acquire);
 }
 
@@ -266,8 +258,8 @@ StreamServer::installSignalHandlers(StreamServer *server)
     sigaction(SIGTERM, &sa, nullptr);
     sigaction(SIGINT, &sa, nullptr);
     // SIGHUP = "reload your model", the daemon-config convention. The
-    // handler only flips a flag; the reaper runs the actual reload so
-    // the signal context stays async-safe.
+    // handler only flips a flag; the housekeeping tick runs the actual
+    // reload so the signal context stays async-safe.
     struct sigaction hup = {};
     if (server != nullptr) {
         hup.sa_handler = onReloadSignal;
@@ -308,46 +300,41 @@ StreamServer::triggerReload()
 }
 
 void
-StreamServer::sweepSessions(uint64_t now_ms)
+StreamServer::sweepSessions(
+    const std::vector<std::shared_ptr<Session>> &sessions, uint64_t now_ms)
 {
-    std::vector<std::shared_ptr<Session>> snapshot;
-    {
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        snapshot.reserve(sessions_.size());
-        for (auto &[id, s] : sessions_)
-            snapshot.push_back(s);
-    }
     // Session state lives in whatever model version is current when
     // the session ends; a version retired mid-session takes its state
     // with it when the last pinned batch releases the refcount.
     const std::shared_ptr<const ModelVersion> pinned =
         registry_.current();
-    for (auto &s : snapshot) {
-        const bool drain_all =
-            draining_.load(std::memory_order_acquire);
-        if (drain_all && !s->inputDone()) {
+    for (const auto &s : sessions) {
+        if (draining() && !s->inputDone()) {
             // Draining: no more input will be read; what is queued
             // still flows, but the stream is logically ended. The
             // non-blocking form never waits on a reader mid-submit —
-            // a refused seal is retried on the next sweep.
+            // a refused seal is retried on the next sweep, which the
+            // housekeeping tick guarantees.
             s->endInput(now_ms, /*may_block=*/false);
         }
-        if (s->finishIfDrained(now_ms)) {
-            bool erased = false;
-            {
-                std::lock_guard<std::mutex> lock(sessionsMutex_);
-                erased = sessions_.erase(s->id()) > 0;
-                ST_OBS_GAUGE_SET("serve.sessions.active",
-                                 sessions_.size());
-            }
-            if (erased) {
-                pinned->model->endSession(s->id());
-                ST_OBS_ADD("serve.sessions.closed", 1);
-                obs::FlightRecorder::instance().record(
-                    "session.close", s->id(),
-                    s->stats().volleysOut);
-            }
+        if (!s->finishIfDrained(now_ms))
+            continue;
+        bool erased = false;
+        {
+            std::lock_guard<std::mutex> lock(sessionsMutex_);
+            erased = sessions_.erase(s->id()) > 0;
+            ST_OBS_GAUGE_SET("serve.sessions.active", sessions_.size());
         }
+        if (!erased)
+            continue;
+        pinned->model->endSession(s->id());
+        ST_OBS_ADD("serve.sessions.closed", 1);
+        obs::FlightRecorder::instance().record("session.close", s->id(),
+                                               s->stats().volleysOut);
+        // The last session out ends a drain: let the housekeeper see
+        // it now rather than on its next tick.
+        if (draining())
+            wakeHousekeeper();
     }
 }
 
@@ -470,43 +457,32 @@ StreamServer::runBatch(
 void
 StreamServer::batcherLoop()
 {
+    // Work-driven: gather at once (volleys may predate start()), again
+    // at once after a gather that filled batchMax, and sleep, with no
+    // timeout, only after a gather found every ingress ring empty.
+    bool full = true;
     while (true) {
-        {
+        if (!full) {
             std::unique_lock<std::mutex> lock(workMutex_);
-            workCv_.wait_for(
-                lock, std::chrono::milliseconds(20), [this] {
-                    return workFlag_ ||
-                           stopThreads_.load(
-                               std::memory_order_acquire);
-                });
+            workCv_.wait(lock, [this] { return workFlag_; });
             workFlag_ = false;
         }
         if (stopThreads_.load(std::memory_order_acquire))
-            break;
+            return;
 
         const uint64_t now = steadyNowMs();
 
         // Round-robin gather in session-id order: one volley per
         // session per pass keeps a firehose session from starving
         // the rest, while per-session FIFO keeps sample order.
-        std::vector<std::shared_ptr<Session>> snapshot;
-        {
-            std::lock_guard<std::mutex> lock(sessionsMutex_);
-            snapshot.reserve(sessions_.size());
-            for (auto &[id, s] : sessions_)
-                snapshot.push_back(s);
-        }
-        std::sort(snapshot.begin(), snapshot.end(),
-                  [](const auto &a, const auto &b) {
-                      return a->id() < b->id();
-                  });
-
+        const std::vector<std::shared_ptr<Session>> sessions =
+            sessionSnapshot();
         std::vector<std::shared_ptr<Session>> targets;
         std::vector<BatchItem> items;
         bool any_ready = true;
         while (any_ready && items.size() < config_.batchMax) {
             any_ready = false;
-            for (auto &s : snapshot) {
+            for (const auto &s : sessions) {
                 if (items.size() >= config_.batchMax)
                     break;
                 std::optional<Session::Pending> p = s->popPending();
@@ -531,98 +507,105 @@ StreamServer::batcherLoop()
                 items.push_back(std::move(item));
             }
         }
+        full = items.size() >= config_.batchMax;
 
         if (!items.empty())
             runBatch(targets, items, now);
-        sweepSessions(steadyNowMs());
+        sweepSessions(sessions, steadyNowMs());
     }
 }
 
 void
-StreamServer::watchdogLoop()
+StreamServer::housekeeperLoop()
 {
-    while (!stopThreads_.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        const uint64_t start =
-            batchStartMs_.load(std::memory_order_acquire);
-        if (start == 0)
-            continue;
-        const uint64_t now = steadyNowMs();
-        if (now > start && now - start > config_.watchdogStallMs &&
-            !watchdogTripped_.exchange(true,
-                                       std::memory_order_acq_rel)) {
-            ST_OBS_ADD("serve.watchdog.stalls", 1);
-            obs::FlightRecorder::instance().record("watchdog.trip",
-                                                   now - start, 0);
-            ST_LOG_ERROR("serve.watchdog",
-                         "batch in flight for " +
-                             std::to_string(now - start) +
-                             " ms (readiness false)");
-            // A stalled batch is exactly the incident the recorder
-            // exists for: dump the timeline while it is fresh.
-            obs::FlightRecorder::instance().dump();
-        }
+    uint64_t forced_at_ms = 0; // when the drain deadline force-closed
+    while (!housekeepingTick(steadyNowMs(), forced_at_ms)) {
+        std::unique_lock<std::mutex> lock(tickMutex_);
+        tickCv_.wait_for(lock, kTick, [this] { return tickFlag_; });
+        tickFlag_ = false;
     }
+    stopThreads_.store(true, std::memory_order_release);
+    notifyWork();
 }
 
-void
-StreamServer::reaperLoop()
+bool
+StreamServer::housekeepingTick(uint64_t now, uint64_t &forced_at_ms)
 {
-    while (!stopThreads_.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        const uint64_t now = steadyNowMs();
+    // Watchdog: a batch in flight too long flips readiness once; the
+    // batcher clears it when the batch ends.
+    const uint64_t batch_start = batchStartMs_.load(std::memory_order_acquire);
+    if (batch_start != 0 && now > batch_start &&
+        now - batch_start > config_.watchdogStallMs &&
+        !watchdogTripped_.exchange(true, std::memory_order_acq_rel)) {
+        ST_OBS_ADD("serve.watchdog.stalls", 1);
+        obs::FlightRecorder::instance().record("watchdog.trip",
+                                               now - batch_start, 0);
+        ST_LOG_ERROR("serve.watchdog",
+                     "batch in flight for " +
+                         std::to_string(now - batch_start) +
+                         " ms (readiness false)");
+        // A stalled batch is exactly the incident the recorder
+        // exists for: dump the timeline while it is fresh.
+        obs::FlightRecorder::instance().dump();
+    }
 
-        if (g_stop_requested.load(std::memory_order_acquire) &&
-            g_signal_server.load(std::memory_order_acquire) == this)
+    if (g_signal_server.load(std::memory_order_acquire) == this) {
+        if (g_stop_requested.load(std::memory_order_acquire))
             requestStop();
-
-        if (g_signal_server.load(std::memory_order_acquire) == this &&
-            g_reload_requested.exchange(false,
-                                        std::memory_order_acq_rel)) {
-            // SIGHUP path; triggerReload() logs failures and the
-            // registry keeps the incumbent, so the verdict needs no
-            // extra handling here.
+        // SIGHUP path; triggerReload() logs failures and the registry
+        // keeps the incumbent, so the verdict needs no handling here.
+        if (g_reload_requested.exchange(false, std::memory_order_acq_rel))
             (void)triggerReload();
-        }
-
-        admission_.decay(now);
-
-        std::vector<std::shared_ptr<Session>> snapshot;
-        {
-            std::lock_guard<std::mutex> lock(sessionsMutex_);
-            for (auto &[id, s] : sessions_)
-                snapshot.push_back(s);
-        }
-        for (auto &s : snapshot) {
-            const uint64_t last = s->lastActivityMs();
-            if (!s->inputDone() && last != 0 && now > last &&
-                now - last > config_.idleTimeoutMs) {
-                ST_OBS_ADD("serve.sessions.idle_reaped", 1);
-                obs::FlightRecorder::instance().record(
-                    "session.idle_reap", s->id(), now - last);
-                ST_LOG_INFO("serve.reaper",
-                            "session " + std::to_string(s->id()) +
-                                " idle for " +
-                                std::to_string(now - last) +
-                                " ms; force-closing");
-                s->forceClose("idle timeout", now);
-            }
-        }
-
-        if (draining_.load(std::memory_order_acquire) &&
-            drainStartedMs_ != 0 &&
-            now > drainStartedMs_ + config_.drainDeadlineMs) {
-            for (auto &s : snapshot) {
-                if (!s->finished()) {
-                    drainedCleanly_.store(0,
-                                          std::memory_order_release);
-                    ST_OBS_ADD("serve.drain.forced", 1);
-                    s->forceClose("drain deadline exceeded", now);
-                }
-            }
-        }
-        notifyWork();
     }
+
+    admission_.decay(now);
+
+    // Read the drain's start before the table: nothing is admitted
+    // after it, so an empty table then means the drain is over.
+    const uint64_t drain_start =
+        drainStartedMs_.load(std::memory_order_acquire);
+    const std::vector<std::shared_ptr<Session>> sessions = sessionSnapshot();
+    for (const auto &s : sessions) {
+        const uint64_t last = s->lastActivityMs();
+        if (!s->inputDone() && now > last &&
+            now - last > config_.idleTimeoutMs) {
+            ST_OBS_ADD("serve.sessions.idle_reaped", 1);
+            obs::FlightRecorder::instance().record(
+                "session.idle_reap", s->id(), now - last);
+            ST_LOG_INFO("serve.reaper",
+                        "session " + std::to_string(s->id()) +
+                            " idle for " +
+                            std::to_string(now - last) +
+                            " ms; force-closing");
+            s->forceClose("idle timeout", now);
+        }
+    }
+
+    if (drain_start != 0 && forced_at_ms == 0 &&
+        now >= drain_start + config_.drainDeadlineMs) {
+        // Past the deadline: the contract is a bounded shutdown, so
+        // the stragglers are force-closed and accounted.
+        forced_at_ms = now;
+        for (const auto &s : sessions) {
+            if (s->finished())
+                continue;
+            drainedCleanly_ = false;
+            ST_LOG_WARN("serve.drain",
+                        "drain deadline exceeded; force-closing session " +
+                            std::to_string(s->id()));
+            ST_OBS_ADD("serve.drain.forced", 1);
+            obs::FlightRecorder::instance().record("drain.forced", s->id(), 0);
+            s->forceClose("drain deadline exceeded", now);
+        }
+    }
+    // Retries a drain-time endInput that a reader mid-submit refused.
+    notifyWork();
+    if (drain_start == 0)
+        return false;
+    // Over once every session is gone, or the force-closed ones had
+    // their grace.
+    return sessions.empty() ||
+           (forced_at_ms != 0 && now >= forced_at_ms + kDrainGraceMs);
 }
 
 void
@@ -647,19 +630,11 @@ StreamServer::healthJson() const
 {
     const char *state = "stopped";
     if (running_.load(std::memory_order_acquire))
-        state = draining_.load(std::memory_order_acquire)
-                    ? "draining"
-                    : "running";
+        state = draining() ? "draining" : "running";
 
     // Per-session detail is bounded: the top healthTopK sessions by
     // delivered volleys, so a busy server's health line stays small.
-    std::vector<std::shared_ptr<Session>> snapshot;
-    {
-        std::lock_guard<std::mutex> lock(sessionsMutex_);
-        snapshot.reserve(sessions_.size());
-        for (const auto &[id, s] : sessions_)
-            snapshot.push_back(s);
-    }
+    const std::vector<std::shared_ptr<Session>> snapshot = sessionSnapshot();
     size_t ingress_hw = 0;
     size_t egress_hw = 0;
     std::vector<std::pair<uint64_t, std::shared_ptr<Session>>> ranked;

@@ -2,31 +2,32 @@
  * @file
  * StreamServer: the long-lived inference daemon core (ROADMAP item 2).
  *
- * One server owns one model and N sessions. Three internal threads:
+ * One server owns one model and N sessions. Two internal threads:
  *
  *   - the *batcher* gathers ready volleys round-robin across sessions
  *     (per-session FIFO preserved), applies per-volley deadlines,
  *     optionally perturbs them through the chaos FaultInjector, and
  *     runs the model batch on the shared ThreadPool; results are
  *     demultiplexed back to each session's egress ring in seq order.
- *     A model exception poisons a volley, not the daemon: a
+ *     It is work-driven: it gathers again at once after a full batch
+ *     and sleeps, with no timeout, only when every ingress ring is
+ *     empty. A model exception poisons a volley, not the daemon: a
  *     transactional (stateless) model's batch is retried item-by-item
  *     so only the poisoned volley is dropped (accounted as
  *     `drop <seq> poisoned`); a stateful model is fed one item per
  *     call in the first place, so a throw can never re-apply items
  *     committed before it.
- *   - the *watchdog* observes batch progress; a batch in flight past
- *     watchdogStallMs flips readiness to false (the daemon stays up —
- *     an orchestrator decides what to do with an unready instance)
- *     and ticks serve.watchdog.stalls.
- *   - the *reaper* closes idle sessions, decays admission backoff and
- *     enforces the drain deadline during shutdown.
+ *   - the *housekeeper* ticks every 20 ms: the watchdog (a batch in
+ *     flight past watchdogStallMs flips readiness to false and ticks
+ *     serve.watchdog.stalls), the signal flags and SIGHUP reload,
+ *     admission decay, idle reaping and the drain deadline. The
+ *     batcher cannot watch for its own stall, so two is the minimum.
  *
  * Graceful drain: requestStop() (the SIGTERM/SIGINT path) stops
- * admitting, lets in-flight volleys finish, emits every session's end
- * line, then joins the threads; waitDrained() reports whether that
- * completed inside drainDeadlineMs (sessions still open at the
- * deadline are force-closed and counted in serve.drain.forced).
+ * admitting, lets in-flight volleys finish and emits every session's
+ * end line; the housekeeper stops the threads once every session is
+ * gone or, at drainDeadlineMs, after force-closing the stragglers
+ * (counted in serve.drain.forced) and one second of grace.
  *
  * Health/readiness is a JSON snapshot combining server state with the
  * full obs metrics registry — the `health` wire command and the
@@ -40,11 +41,11 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -106,15 +107,15 @@ class StreamServer
     /**
      * Install the reload procedure (rescan a model dir, load, swap)
      * invoked by SIGHUP and the `reload` wire command. The handler
-     * runs on the reaper thread or a transport thread — never the
-     * batcher — and must be internally synchronized.
+     * runs on the housekeeping thread or a transport thread — never
+     * the batcher — and must be internally synchronized.
      */
     void setReloadHandler(std::function<Status()> handler);
 
     /** Run the installed reload handler (FailedPrecondition if none). */
     Status triggerReload();
 
-    /** Start batcher/watchdog/reaper. Idempotent. */
+    /** Start the batcher and housekeeping threads. Idempotent. */
     void start();
 
     /**
@@ -142,15 +143,15 @@ class StreamServer
     /** True once requestStop() was called. */
     bool draining() const
     {
-        return draining_.load(std::memory_order_acquire);
+        return drainStartedMs_.load(std::memory_order_acquire) != 0;
     }
 
     /**
-     * Wait for every session to finish and the threads to stop, up to
-     * @p timeout_ms (0 = the configured drain deadline). Returns true
-     * on a clean drain, false if sessions had to be force-closed.
+     * requestStop() if nothing has, then wait for the housekeeper to
+     * end the drain. Returns true on a clean drain, false if sessions
+     * had to be force-closed at drainDeadlineMs.
      */
-    bool waitDrained(uint64_t timeout_ms = 0);
+    bool waitDrained();
 
     /** Readiness: running, not draining, watchdog not tripped. */
     bool ready() const;
@@ -188,12 +189,19 @@ class StreamServer
     void notifyWork();
 
   private:
+    /** The open sessions, in id (= admission) order. */
+    std::vector<std::shared_ptr<Session>> sessionSnapshot() const;
+
     void batcherLoop();
-    void watchdogLoop();
-    void reaperLoop();
+    void housekeeperLoop();
+    /** Tick now (a drain began, or a session left during one). */
+    void wakeHousekeeper();
+    /** One housekeeping pass; true once the drain is over. */
+    bool housekeepingTick(uint64_t now, uint64_t &forced_at_ms);
     void runBatch(std::vector<std::shared_ptr<Session>> &targets,
                   std::vector<BatchItem> &items, uint64_t now_ms);
-    void sweepSessions(uint64_t now_ms);
+    void sweepSessions(const std::vector<std::shared_ptr<Session>> &sessions,
+                       uint64_t now_ms);
     void recordVolleyLatency(Session &session,
                              const VolleyStamps &stamps);
 
@@ -205,28 +213,30 @@ class StreamServer
     std::function<Status()> reloadHandler_;
 
     mutable std::mutex sessionsMutex_;
-    std::unordered_map<uint64_t, std::shared_ptr<Session>> sessions_;
+    std::map<uint64_t, std::shared_ptr<Session>> sessions_;
     uint64_t nextSessionId_ = 1;
 
     std::mutex workMutex_;
     std::condition_variable workCv_;
     bool workFlag_ = false;
 
+    std::mutex tickMutex_;
+    std::condition_variable tickCv_;
+    bool tickFlag_ = false;
+
     std::atomic<bool> running_{false};
-    std::atomic<bool> draining_{false};
     std::atomic<bool> stopThreads_{false};
     std::atomic<bool> watchdogTripped_{false};
-    std::atomic<uint64_t> batchStartMs_{0}; //!< 0 = no batch in flight
-    std::atomic<uint64_t> drainedCleanly_{1};
+    std::atomic<uint64_t> batchStartMs_{0};   //!< 0 = no batch in flight
+    std::atomic<uint64_t> drainStartedMs_{0}; //!< 0 = not draining
+    bool drainedCleanly_ = true;              //!< set by the housekeeper
     uint64_t startedAtMs_ = 0;
-    uint64_t drainStartedMs_ = 0;
 
     std::unique_ptr<fault::FaultInjector> chaos_;
     LatencyRecorder latency_;
 
     std::thread batcher_;
-    std::thread watchdog_;
-    std::thread reaper_;
+    std::thread housekeeper_;
 };
 
 } // namespace st::serve

@@ -115,9 +115,9 @@ Session::emit(std::string line, uint64_t now_ms, bool may_block)
         return;
     ST_OBS_ADD("serve.egress.stall", 1);
     if (!may_block) {
-        // Shared batcher/reaper thread: never wait on one session's
-        // slow consumer — degrade this session immediately (the
-        // terminal err line rides the reserved slot).
+        // Shared batcher thread: never wait on one session's slow
+        // consumer — degrade this session immediately (the terminal
+        // err line rides the reserved slot).
         forceClose("egress stalled", now_ms);
         return;
     }
@@ -507,7 +507,6 @@ Session::endInput(uint64_t now_ms, bool may_block)
         std::lock_guard<std::mutex> lock(mutex_);
         if (inputDone_)
             return;
-        inputDone_ = true;
         // Seal the open window iff it holds a spike (matching
         // AerStream::sliceWindows, whose last window always contains
         // the last event).
@@ -520,7 +519,13 @@ Session::endInput(uint64_t now_ms, bool may_block)
     }
     if (seal)
         sealWindowLocked(now_ms, may_block);
-    touch(now_ms);
+    {
+        // Done only once the last volley is queued: finishIfDrained
+        // must not end the stream while that volley is in transit.
+        std::lock_guard<std::mutex> lock(mutex_);
+        inputDone_ = true;
+        lastActivityMs_ = now_ms;
+    }
     if (onWork_)
         onWork_();
 }

@@ -17,7 +17,7 @@
  * sheds the newest volley with an accounted `drop <seq> shed`; an
  * egress stall closes this session only — after one (server-clamped)
  * deadline of grace on the reader thread, immediately on the shared
- * batcher/reaper threads, which never wait on one session's consumer.
+ * batcher thread, which never waits on one session's consumer.
  *
  * Wire grammar (client -> server), one line each:
  *
@@ -113,6 +113,9 @@ class Session
     uint64_t lastActivityMs() const;
     bool inputDone() const;
 
+    /** Stamp activity (the idle timeout's reference) at @p now_ms. */
+    void touch(uint64_t now_ms);
+
     /** True once the end line is out and the egress ring is closed. */
     bool finished() const;
 
@@ -166,7 +169,7 @@ class Session
     void endFlight(size_t n);
 
     /**
-     * Hard-close from the reaper or drain deadline: emits
+     * Hard-close (idle timeout, drain deadline, stalled egress): emits
      * "err <code>: <why>", closes both rings. Idempotent.
      */
     void forceClose(const char *why, uint64_t now_ms);
@@ -202,7 +205,6 @@ class Session
                       uint64_t now_ms);
     void submitVolley(Volley volley, uint64_t now_ms, bool may_block);
     void emit(std::string line, uint64_t now_ms, bool may_block);
-    void touch(uint64_t now_ms);
 
     const uint64_t id_;
     const ServeConfig config_;

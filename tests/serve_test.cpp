@@ -5,8 +5,9 @@
  * with line-numbered errors), window framing equivalence with the
  * offline AerStream::sliceWindows, the end-to-end StreamServer path
  * (multi-session ordering, deadline drops, poisoned-batch isolation,
- * graceful drain, a volley whose spikes are 2^61 ticks apart), and the
- * health JSON shape.
+ * graceful drain, a volley whose spikes are 2^61 ticks apart), the
+ * housekeeping duties (idle reaping, the watchdog, the drain deadline)
+ * and the work-driven batcher, and the health JSON shape.
  *
  * Everything here is in-process and socket-free; the TCP and pipe
  * transports have their own suite (serve_transport_test.cpp), and the
@@ -19,6 +20,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <mutex>
 #include <sstream>
@@ -98,6 +100,29 @@ countPrefix(const std::vector<std::string> &lines,
         if (l.rfind(prefix, 0) == 0)
             ++n;
     return n;
+}
+
+/** The session's next output line, or "" if none comes within 5 s. */
+std::string
+nextLine(Session &s)
+{
+    return s.nextOutput(std::chrono::seconds(5)).value_or("");
+}
+
+/** Poll @p holds every 1 ms until it is true (returns true) or 10 s
+ *  pass (returns false). */
+template <typename Pred>
+bool
+eventually(Pred holds)
+{
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!holds()) {
+        if (std::chrono::steady_clock::now() > until)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
 }
 
 // --- ServeConfig ---------------------------------------------------
@@ -453,6 +478,39 @@ TEST(Session, BackpressureThenShedWithAccounting)
         lines.push_back(std::move(*line));
     EXPECT_EQ(countPrefix(lines, "drop "), 4u);
     EXPECT_EQ(countPrefix(lines, "note backpressure on"), 1u);
+}
+
+TEST(Session, EndOfInputNeverOvertakesItsLastVolley)
+{
+    // `end` seals the open window on the reader thread while the
+    // batcher sweeps. The sweep may end the stream only once that
+    // last volley is in the ring; ending it any earlier sheds the
+    // volley after the end line.
+    for (int trial = 0; trial < 100; ++trial) {
+        Session s(1, sessionConfig(), 4, nullptr);
+        s.feedLine("stserve 1", 0);
+        s.feedLine("addresses 4", 0);
+        s.feedLine("3 2", 0); // the open window holds a spike
+        std::atomic<bool> sweeping{false};
+        std::thread batcher([&] {
+            sweeping.store(true);
+            while (!s.finishIfDrained(0)) {
+                if (std::optional<Session::Pending> p = s.popPending()) {
+                    s.beginFlight(1);
+                    s.deliver(p->seq, "x", 0);
+                    s.endFlight(1);
+                }
+            }
+        });
+        while (!sweeping.load())
+            std::this_thread::yield();
+        s.endInput(0);
+        batcher.join();
+        const std::vector<std::string> lines = drainAll(s);
+        ASSERT_EQ(lines.size(), 3u) << "trial " << trial;
+        EXPECT_EQ(lines[1], "volley 0 x") << "trial " << trial;
+        EXPECT_EQ(lines[2], "end volleys 1 drops 0") << "trial " << trial;
+    }
 }
 
 // --- StreamServer end-to-end ---------------------------------------
@@ -1026,6 +1084,198 @@ TEST(StreamServer, FarApartEventsAnswerAtTheClosedFormTime)
     EXPECT_EQ(lines[1], "volley 0 2305843009213693957");
     EXPECT_EQ(lines[2], "end volleys 1 drops 0");
     server.requestStop();
+    EXPECT_TRUE(server.waitDrained());
+}
+
+// --- housekeeping and the work-driven batcher ------------------------
+
+/**
+ * Holds every batch until the test opens the gate (or 10 s pass, so a
+ * failing test ends instead of hanging), then echoes the volleys.
+ */
+class GateModel : public ServeModel
+{
+  public:
+    size_t numInputs() const override { return 2; }
+    std::string name() const override { return "gate"; }
+    bool transactional() const override { return true; }
+
+    std::vector<std::string>
+    processBatch(std::span<const BatchItem> items, size_t) override
+    {
+        {
+            std::unique_lock<std::mutex> lock(mutex_);
+            held_ = true;
+            cv_.notify_all();
+            cv_.wait_for(lock, std::chrono::seconds(10),
+                         [this] { return open_; });
+        }
+        std::vector<std::string> out;
+        for (const BatchItem &item : items)
+            out.push_back(wireVolley(item.volley));
+        return out;
+    }
+
+    /** Block until a batch is held at the gate. */
+    void
+    awaitHeld()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait(lock, [this] { return held_; });
+    }
+
+    void
+    open()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            open_ = true;
+        }
+        cv_.notify_all();
+    }
+
+  private:
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    bool held_ = false;
+    bool open_ = false;
+};
+
+/** Handshake @p s and queue one volley, "inf 3", for the model. */
+void
+sendOneVolley(Session &s)
+{
+    s.feedLine("stserve 1", steadyNowMs());
+    s.feedLine("addresses 2 window 8", steadyNowMs());
+    s.feedLine("3 1", steadyNowMs());
+    s.feedLine("flush", steadyNowMs());
+}
+
+TEST(StreamServer, SilentSessionIsIdleReaped)
+{
+    ServeConfig config;
+    config.idleTimeoutMs = 10;
+    StreamServer server(std::make_unique<TnnServeModel>(makeNet(4)),
+                        config);
+    server.start();
+    const uint64_t reaped = counterValue("serve.sessions.idle_reaped");
+    auto open = server.openSession("silent");
+    ASSERT_TRUE(open.session != nullptr);
+    // Not one line sent: admission alone starts the idle clock, so a
+    // silent peer cannot hold a session slot until shutdown.
+    EXPECT_EQ(nextLine(*open.session), "err data_loss: idle timeout");
+#if ST_OBS_ENABLED
+    EXPECT_EQ(counterValue("serve.sessions.idle_reaped"), reaped + 1);
+#else
+    (void)reaped;
+#endif
+    EXPECT_TRUE(eventually([&] { return server.activeSessions() == 0; }));
+    EXPECT_TRUE(server.waitDrained());
+}
+
+TEST(StreamServer, WatchdogFlipsReadinessWhileABatchIsHeld)
+{
+    ServeConfig config;
+    config.deadlineMs = 60000;
+    config.watchdogStallMs = 1;
+    auto model = std::make_unique<GateModel>();
+    GateModel &gate = *model;
+    StreamServer server(std::move(model), config);
+    server.start();
+    const uint64_t stalls = counterValue("serve.watchdog.stalls");
+    auto open = server.openSession("w");
+    ASSERT_TRUE(open.session != nullptr);
+    Session &s = *open.session;
+    sendOneVolley(s);
+    gate.awaitHeld();
+
+    // A housekeeping tick finds the batch in flight past 1 ms.
+    EXPECT_TRUE(eventually([&] { return !server.ready(); }));
+#if ST_OBS_ENABLED
+    EXPECT_TRUE(eventually([&] {
+        return counterValue("serve.watchdog.stalls") == stalls + 1;
+    }));
+#else
+    (void)stalls;
+#endif
+    EXPECT_NE(server.healthJson().find("\"watchdog_tripped\":true"),
+              std::string::npos);
+
+    gate.open();
+    EXPECT_EQ(nextLine(s).rfind("stserve-ok ", 0), 0u);
+    EXPECT_EQ(nextLine(s), "volley 0 inf 3");
+    EXPECT_TRUE(eventually([&] { return server.ready(); }));
+#if ST_OBS_ENABLED
+    EXPECT_EQ(counterValue("serve.watchdog.stalls"), stalls + 1);
+#endif
+    s.endInput(steadyNowMs());
+    EXPECT_TRUE(server.waitDrained());
+}
+
+TEST(StreamServer, DrainDeadlineForceClosesAHeldBatch)
+{
+    ServeConfig config;
+    config.deadlineMs = 60000;
+    config.drainDeadlineMs = 50;
+    auto model = std::make_unique<GateModel>();
+    GateModel &gate = *model;
+    StreamServer server(std::move(model), config);
+    server.start();
+    const uint64_t forced = counterValue("serve.drain.forced");
+    auto open = server.openSession("held");
+    ASSERT_TRUE(open.session != nullptr);
+    Session &s = *open.session;
+    sendOneVolley(s);
+    gate.awaitHeld();
+
+    bool clean = true;
+    std::thread drainer([&] { clean = server.waitDrained(); });
+    EXPECT_EQ(nextLine(s).rfind("stserve-ok ", 0), 0u);
+    // The held volley never answers: the deadline closes the session.
+    EXPECT_EQ(nextLine(s), "err data_loss: drain deadline exceeded");
+    gate.open();
+    drainer.join();
+    EXPECT_FALSE(clean);
+    EXPECT_EQ(server.activeSessions(), 0u);
+#if ST_OBS_ENABLED
+    EXPECT_EQ(counterValue("serve.drain.forced"), forced + 1);
+#else
+    (void)forced;
+#endif
+}
+
+TEST(StreamServer, FullBatchesDoNotWaitForATimer)
+{
+    // batchMax 1: every gather fills its batch. The batcher must
+    // gather again at once, not after a timed wait per volley. The
+    // wall-clock bound is wide: a 20 ms wait per volley takes 4 s.
+    ServeConfig config;
+    config.window = 8;
+    config.deadlineMs = 60000;
+    config.batchMax = 1;
+    config.ingressCapacity = 256;
+    StreamServer server(std::make_unique<TnnServeModel>(makeNet(4)),
+                        config);
+    auto open = server.openSession("queued");
+    ASSERT_TRUE(open.session != nullptr);
+    Session &s = *open.session;
+    s.feedLine("stserve 1", steadyNowMs());
+    s.feedLine("addresses 4", steadyNowMs());
+    for (uint64_t w = 0; w < 200; ++w) {
+        s.feedLine(std::to_string(w * 8) + " " + std::to_string(w % 4),
+                   steadyNowMs());
+        s.feedLine("flush", steadyNowMs());
+    }
+    s.feedLine("end", steadyNowMs());
+    ASSERT_EQ(s.ingressDepth(), 200u);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    server.start();
+    const std::vector<std::string> lines = drainAll(s);
+    const auto took = std::chrono::steady_clock::now() - t0;
+    EXPECT_EQ(countPrefix(lines, "volley "), 200u);
+    EXPECT_EQ(lines.back(), "end volleys 200 drops 0");
+    EXPECT_LT(took, std::chrono::seconds(1));
     EXPECT_TRUE(server.waitDrained());
 }
 
