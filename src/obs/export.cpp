@@ -102,39 +102,38 @@ MetricsExporter::stop()
 }
 
 bool
+publishFile(const std::string &path,
+            const std::function<void(std::ostream &)> &render,
+            const char *failed_counter)
+{
+    // Leaked, like MetricsRegistry::instance(): atexit and signal
+    // paths may still publish during static destruction.
+    static std::mutex *publishing = new std::mutex;
+    std::lock_guard<std::mutex> guard(*publishing);
+    const std::string tmp = path + ".tmp";
+    std::ofstream out(tmp);
+    if (out)
+        render(out);
+    out.close(); // flushes; a failed open, write or close fails here
+    if (out && std::rename(tmp.c_str(), path.c_str()) == 0)
+        return true;
+    std::cerr << "obs: cannot publish " << path << " via " << tmp
+              << "\n";
+    std::remove(tmp.c_str());
+    MetricsRegistry::instance().counter(failed_counter).add(1);
+    return false;
+}
+
+bool
 MetricsExporter::writeOnce()
 {
-    const std::string tmp = path_ + ".tmp";
-    {
-        std::ofstream out(tmp);
-        if (!out) {
-            std::cerr << "obs: cannot write metrics export " << tmp
-                      << "\n";
-            MetricsRegistry::instance()
-                .counter("metrics.export_failed")
-                .add(1);
-            return false;
-        }
-        MetricsRegistry::instance().snapshot().writeProm(out);
-        out.flush();
-        if (!out) {
-            MetricsRegistry::instance()
-                .counter("metrics.export_failed")
-                .add(1);
-            return false;
-        }
-    }
-    if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-        std::cerr << "obs: cannot rename metrics export to " << path_
-                  << "\n";
-        MetricsRegistry::instance()
-            .counter("metrics.export_failed")
-            .add(1);
-        std::remove(tmp.c_str());
-        return false;
-    }
-    MetricsRegistry::instance().counter("metrics.exported").add(1);
-    return true;
+    MetricsRegistry &reg = MetricsRegistry::instance();
+    const bool ok = publishFile(
+        path_, [&reg](std::ostream &out) { reg.snapshot().writeProm(out); },
+        "metrics.export_failed");
+    if (ok)
+        reg.counter("metrics.exported").add(1);
+    return ok;
 }
 
 void

@@ -21,12 +21,24 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 
 namespace st::obs {
+
+/**
+ * Write @p render's output to `<path>.tmp`, then rename it over
+ * @p path. Publishes are serialized, so two never share a staging
+ * file. A failure removes the temp file, ticks the counter
+ * @p failed_counter and returns false.
+ */
+bool publishFile(const std::string &path,
+                 const std::function<void(std::ostream &)> &render,
+                 const char *failed_counter);
 
 class MetricsExporter
 {
@@ -59,9 +71,9 @@ class MetricsExporter
     void stop();
 
     /**
-     * Render one snapshot to the target path atomically
-     * (tmp+rename). Returns false when the tmp file cannot be
-     * written or renamed; failures tick `metrics.export_failed`.
+     * Render one snapshot to the target path (publishFile). Returns
+     * false when the tmp file cannot be written or renamed; failures
+     * tick `metrics.export_failed`.
      */
     bool writeOnce();
 

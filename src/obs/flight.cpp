@@ -1,12 +1,10 @@
 #include "obs/flight.hpp"
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <iostream>
 #include <ostream>
 #include <sstream>
 
+#include "obs/export.hpp"  // publishFile
 #include "obs/log.hpp"     // logNowMs: shared steady-clock domain
 #include "obs/metrics.hpp" // detail::jsonEscape
 
@@ -96,36 +94,9 @@ FlightRecorder::dump()
     const std::string path = dumpPath();
     if (path.empty())
         return false;
-    const std::string tmp = path + ".tmp";
-    {
-        std::ofstream out(tmp);
-        if (!out) {
-            std::cerr << "obs: cannot write flight recorder dump "
-                      << tmp << "\n";
-            MetricsRegistry::instance()
-                .counter("flight.dump_failed")
-                .add(1);
-            return false;
-        }
-        writeJson(out);
-        out.flush();
-        if (!out) {
-            MetricsRegistry::instance()
-                .counter("flight.dump_failed")
-                .add(1);
-            return false;
-        }
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::cerr << "obs: cannot rename flight recorder dump to "
-                  << path << "\n";
-        MetricsRegistry::instance()
-            .counter("flight.dump_failed")
-            .add(1);
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
+    return publishFile(
+        path, [this](std::ostream &out) { writeJson(out); },
+        "flight.dump_failed");
 }
 
 size_t

@@ -69,9 +69,9 @@ class FlightRecorder
     std::string dumpPath() const;
 
     /**
-     * Write the artifact atomically (tmp+rename) to the armed path.
-     * Returns false (silently) when no path is armed; failures to
-     * write tick `flight.dump_failed`.
+     * Write the artifact to the armed path (publishFile: tmp+rename,
+     * serialized). Returns false (silently) when no path is armed;
+     * failures to write tick `flight.dump_failed`.
      */
     bool dump();
 

@@ -94,10 +94,12 @@ class LogRateLimiter
         std::lock_guard<std::mutex> guard(mutex_);
         if (lastMs_ == 0)
             lastMs_ = now_ms;
-        const double elapsed_s =
-            static_cast<double>(now_ms - lastMs_) / 1000.0;
-        lastMs_ = now_ms;
-        tokens_ += elapsed_s * refillPerSec_;
+        // ST_LOG reads the clock before locking: an older time than
+        // the last is no elapsed time, and never moves lastMs_ back.
+        if (now_ms > lastMs_) {
+            tokens_ += (now_ms - lastMs_) / 1000.0 * refillPerSec_;
+            lastMs_ = now_ms;
+        }
         if (tokens_ > capacity_)
             tokens_ = capacity_;
         if (tokens_ < 1.0) {

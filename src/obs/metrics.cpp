@@ -1,6 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <array>
 #include <cassert>
 #include <cmath>
 #include <ostream>
@@ -53,6 +52,16 @@ bucketUpper(uint32_t k)
     if (k >= 64)
         return UINT64_MAX;
     return (uint64_t{1} << k) - 1;
+}
+
+/** @p h's buckets up to the last nonempty one, as the writers print. */
+std::span<const uint64_t>
+usedBuckets(const MetricsSnapshot::Hist &h)
+{
+    size_t n = h.buckets.size();
+    while (n > 0 && h.buckets[n - 1] == 0)
+        --n;
+    return {h.buckets.data(), n};
 }
 
 } // namespace
@@ -224,13 +233,10 @@ MetricsRegistry::snapshot() const
             MetricsSnapshot::Hist h;
             h.name = info.name;
             h.sum = sumSlot(info.slot);
-            h.buckets.resize(Histogram::kBuckets);
             for (uint32_t b = 0; b < Histogram::kBuckets; ++b) {
                 h.buckets[b] = sumSlot(info.slot + 1 + b);
                 h.count += h.buckets[b];
             }
-            while (!h.buckets.empty() && h.buckets.back() == 0)
-                h.buckets.pop_back();
             snap.histograms.push_back(std::move(h));
             break;
           }
@@ -246,10 +252,15 @@ MetricsRegistry::metricCount() const
     return metrics_.size();
 }
 
-double
-MetricsSnapshot::Hist::percentile(double q) const
+MetricsSnapshot::Hist
+MetricsSnapshot::Hist::since(const Hist &before) const
 {
-    return bucketQuantile(buckets, q);
+    Hist d = *this;
+    d.count -= before.count;
+    d.sum -= before.sum;
+    for (size_t k = 0; k < buckets.size(); ++k)
+        d.buckets[k] -= before.buckets[k];
+    return d;
 }
 
 void
@@ -276,14 +287,13 @@ MetricsSnapshot::writeJson(std::ostream &out) const
         const Hist &h = histograms[i];
         out << (i ? ", " : "") << "\""
             << detail::jsonEscape(h.name) << "\": {\"count\": "
-            << h.count << ", \"sum\": " << h.sum
-            << ", \"p50\": " << h.percentile(0.50)
-            << ", \"p90\": " << h.percentile(0.90)
-            << ", \"p99\": " << h.percentile(0.99)
-            << ", \"p999\": " << h.percentile(0.999)
-            << ", \"buckets\": [";
-        for (size_t b = 0; b < h.buckets.size(); ++b)
-            out << (b ? ", " : "") << h.buckets[b];
+            << h.count << ", \"sum\": " << h.sum;
+        for (const auto &[key, q] : kQuantiles)
+            out << ", \"" << key << "\": " << h.percentile(q);
+        out << ", \"buckets\": [";
+        const std::span<const uint64_t> used = usedBuckets(h);
+        for (size_t b = 0; b < used.size(); ++b)
+            out << (b ? ", " : "") << used[b];
         out << "]}";
     }
     out << "}}";
@@ -317,8 +327,9 @@ MetricsSnapshot::writeProm(std::ostream &out) const
         out << "# HELP " << m << " histogram " << h.name << "\n";
         out << "# TYPE " << m << " histogram\n";
         uint64_t cum = 0;
-        for (size_t k = 0; k < h.buckets.size(); ++k) {
-            cum += h.buckets[k];
+        const std::span<const uint64_t> used = usedBuckets(h);
+        for (size_t k = 0; k < used.size(); ++k) {
+            cum += used[k];
             out << m << "_bucket{le=\""
                 << bucketUpper(static_cast<uint32_t>(k)) << "\"} "
                 << cum << "\n";
@@ -329,11 +340,6 @@ MetricsSnapshot::writeProm(std::ostream &out) const
         // Quantile estimates as companion gauges: scrapers that only
         // speak flat series still get the tail without re-deriving
         // the power-of-two interpolation.
-        static constexpr std::array<std::pair<const char *, double>, 4>
-            kQuantiles = {{{"p50", 0.50},
-                           {"p90", 0.90},
-                           {"p99", 0.99},
-                           {"p999", 0.999}}};
         for (const auto &[suffix, q] : kQuantiles) {
             out << "# TYPE " << m << "_" << suffix << " gauge\n";
             out << m << "_" << suffix << " " << h.percentile(q)

@@ -33,6 +33,7 @@
 #ifndef ST_OBS_METRICS_HPP
 #define ST_OBS_METRICS_HPP
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -45,6 +46,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace st::obs {
@@ -72,6 +74,13 @@ std::string promMangle(std::string_view name);
  * clamped to [0, 1]; an empty histogram yields 0.
  */
 double bucketQuantile(std::span<const uint64_t> buckets, double q);
+
+/** The quantiles every histogram writer reports, as (key, q). */
+inline constexpr std::array<std::pair<const char *, double>, 4>
+    kQuantiles = {{{"p50", 0.50},
+                   {"p90", 0.90},
+                   {"p99", 0.99},
+                   {"p999", 0.999}}};
 
 namespace detail {
 
@@ -208,16 +217,34 @@ struct MetricsSnapshot
         uint64_t value = 0;
     };
 
+    /**
+     * One histogram's aggregate, or a plain accumulator. Full-width
+     * buckets, so readings subtract; the writers trim trailing zeros.
+     */
     struct Hist
     {
         std::string name;
         uint64_t count = 0;
         uint64_t sum = 0;
-        /** Bucket counts, trailing zero buckets trimmed. */
-        std::vector<uint64_t> buckets;
+        std::array<uint64_t, Histogram::kBuckets> buckets{};
+
+        void
+        record(uint64_t v)
+        {
+            ++count;
+            sum += v;
+            ++buckets[Histogram::bucketOf(v)];
+        }
 
         /** Quantile estimate (see bucketQuantile). */
-        double percentile(double q) const;
+        double
+        percentile(double q) const
+        {
+            return bucketQuantile(buckets, q);
+        }
+
+        /** What was recorded after @p before, an earlier reading. */
+        Hist since(const Hist &before) const;
     };
 
     std::vector<Scalar> counters;
@@ -238,7 +265,7 @@ struct MetricsSnapshot
      * Serialize in the Prometheus text exposition format (version
      * 0.0.4): counters as `st_<name>_total`, gauges as `st_<name>`,
      * histograms as cumulative `st_<name>_bucket{le="..."}` series
-     * plus `_sum`/`_count` and p50/p90/p99/p999 gauge estimates. Each
+     * plus `_sum`/`_count` and kQuantiles gauge estimates. Each
      * family carries HELP/TYPE lines naming the original dotted
      * metric.
      */

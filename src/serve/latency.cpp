@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <ostream>
-#include <sstream>
 
 namespace st::serve {
 
@@ -10,6 +9,12 @@ namespace {
 
 constexpr std::array<const char *, kStageCount> kStageNames = {
     "queue", "batch", "model", "egress", "total"};
+
+/** The registry histogram of each stage, recorded and read here only. */
+constexpr std::array<const char *, kStageCount> kStageMetrics = {
+    "serve.latency.queue_us", "serve.latency.batch_us",
+    "serve.latency.model_us", "serve.latency.egress_us",
+    "serve.latency.total_us"};
 
 /** b - a, clamped at 0 for defensive symmetry. */
 uint64_t
@@ -35,7 +40,7 @@ stageName(size_t stage)
     return stage < kStageCount ? kStageNames[stage] : "?";
 }
 
-std::array<uint64_t, kStageCount>
+StageDeltas
 stageDeltas(const VolleyStamps &s)
 {
     return {sub(s.admitUs, s.ingressUs),
@@ -46,27 +51,45 @@ stageDeltas(const VolleyStamps &s)
 }
 
 void
+recordStages(const StageDeltas &d)
+{
+    // One handle per stage, resolved once (ST_OBS_HIST's per-site
+    // static would land every stage in the first name).
+    static const std::array<obs::Histogram *, kStageCount> hists = [] {
+        std::array<obs::Histogram *, kStageCount> h{};
+        for (size_t i = 0; i < kStageCount; ++i)
+            h[i] = &obs::MetricsRegistry::instance().histogram(
+                kStageMetrics[i]);
+        return h;
+    }();
+    for (size_t i = 0; i < kStageCount; ++i)
+        hists[i]->record(d[i]);
+}
+
+LatencySnapshot
+LatencySnapshot::fromMetrics(const obs::MetricsSnapshot &metrics)
+{
+    LatencySnapshot snap;
+    for (const obs::MetricsSnapshot::Hist &h : metrics.histograms)
+        for (size_t i = 0; i < kStageCount; ++i)
+            if (h.name == kStageMetrics[i])
+                snap.stages[i] = h;
+    return snap;
+}
+
+void
 LatencySnapshot::writeJson(std::ostream &out) const
 {
     out << "{";
     for (size_t i = 0; i < kStageCount; ++i) {
-        const StageHist &h = stages[i];
+        const obs::MetricsSnapshot::Hist &h = stages[i];
         out << (i ? "," : "") << "\"" << stageName(i)
-            << "\":{\"count\":" << h.count
-            << ",\"p50\":" << h.percentile(0.50)
-            << ",\"p90\":" << h.percentile(0.90)
-            << ",\"p99\":" << h.percentile(0.99)
-            << ",\"p999\":" << h.percentile(0.999) << "}";
+            << "\":{\"count\":" << h.count;
+        for (const auto &[key, q] : obs::kQuantiles)
+            out << ",\"" << key << "\":" << h.percentile(q);
+        out << "}";
     }
     out << "}";
-}
-
-std::string
-LatencySnapshot::toJson() const
-{
-    std::ostringstream out;
-    writeJson(out);
-    return out.str();
 }
 
 } // namespace st::serve

@@ -19,16 +19,19 @@
  *   egress = egress - exit      (demux + result formatting)
  *   total  = egress - ingress
  *
- * Deltas land in fixed-size power-of-two histograms (same bucketing as
- * obs::Histogram, same log-linear percentile estimator), kept per
- * session and server-wide; healthJson() reports p50/p90/p99/p99.9 for
+ * The batcher computes a delivered volley's deltas once and records
+ * them once per store: lock-free into the registry's
+ * serve.latency.<stage>_us histograms (recordStages), which are the
+ * server-wide view and so process-wide; and into its session's
+ * LatencySnapshot inside the Session::deliver() critical section that
+ * counts the volley. healthJson() reports the obs::kQuantiles of
  * each. Only *delivered* volleys are recorded — drops are visible
  * through their own counters, not mixed into latency tails.
  *
- * The stamping sites compile out under ST_OBS_ENABLED=0 (the
- * kLatencyEnabled branches are constant-false); the snapshot plumbing
- * always compiles, so the health schema is stable across both builds
- * (counts are simply zero).
+ * The stamping and recording sites compile out under ST_OBS_ENABLED=0
+ * (the kLatencyEnabled branches are constant-false); the snapshot
+ * plumbing always compiles, so the health schema is stable across
+ * both builds (counts are simply zero).
  */
 
 #ifndef ST_SERVE_LATENCY_HPP
@@ -37,8 +40,6 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
-#include <mutex>
-#include <string>
 
 #include "obs/metrics.hpp"
 
@@ -66,79 +67,32 @@ inline constexpr size_t kStageCount = 5;
 /** Stage name for index 0..kStageCount-1. */
 const char *stageName(size_t stage);
 
+/** One volley's deltas, in stageName order. */
+using StageDeltas = std::array<uint64_t, kStageCount>;
+
 /**
  * The per-stage deltas of @p s, in stageName order. Saturating: a
  * stamp pair whose clock reads ran backwards (never expected on one
  * steady clock, but cheap to guard) yields 0.
  */
-std::array<uint64_t, kStageCount> stageDeltas(const VolleyStamps &s);
+StageDeltas stageDeltas(const VolleyStamps &s);
 
-/** One stage's fixed-size power-of-two histogram. */
-struct StageHist
-{
-    uint64_t count = 0;
-    uint64_t sum = 0;
-    std::array<uint64_t, obs::Histogram::kBuckets> buckets{};
+/** Record @p d into the registry's serve.latency.<stage>_us. */
+void recordStages(const StageDeltas &d);
 
-    void
-    record(uint64_t v)
-    {
-        ++count;
-        sum += v;
-        ++buckets[obs::Histogram::bucketOf(v)];
-    }
-
-    double
-    percentile(double q) const
-    {
-        return obs::bucketQuantile(buckets, q);
-    }
-};
-
-/** Aggregated stage histograms (a copy, safe to serialize lock-free). */
+/** One histogram per stage: a session's, or a copy of the registry's. */
 struct LatencySnapshot
 {
-    std::array<StageHist, kStageCount> stages;
+    std::array<obs::MetricsSnapshot::Hist, kStageCount> stages;
+
+    /** The serve.latency.<stage>_us histograms of @p metrics. */
+    static LatencySnapshot fromMetrics(const obs::MetricsSnapshot &metrics);
 
     /**
      * `{"queue": {"count": N, "p50": ..., "p90": ..., "p99": ...,
      * "p999": ...}, "batch": {...}, ...}` in stageName order.
      */
     void writeJson(std::ostream &out) const;
-    std::string toJson() const;
-};
-
-/** Thread-safe accumulator; one per session plus one per server. */
-class LatencyRecorder
-{
-  public:
-    void
-    record(const VolleyStamps &stamps)
-    {
-        const std::array<uint64_t, kStageCount> d =
-            stageDeltas(stamps);
-        std::lock_guard<std::mutex> guard(mutex_);
-        for (size_t i = 0; i < kStageCount; ++i)
-            agg_.stages[i].record(d[i]);
-    }
-
-    LatencySnapshot
-    snapshot() const
-    {
-        std::lock_guard<std::mutex> guard(mutex_);
-        return agg_;
-    }
-
-    uint64_t
-    recorded() const
-    {
-        std::lock_guard<std::mutex> guard(mutex_);
-        return agg_.stages[0].count;
-    }
-
-  private:
-    mutable std::mutex mutex_;
-    LatencySnapshot agg_;
 };
 
 } // namespace st::serve

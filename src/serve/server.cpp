@@ -365,18 +365,21 @@ StreamServer::runBatch(
     // the model call that actually carried the volley — shared by the
     // whole batch on the transactional fast path, per item on the
     // stateful / retry paths — and the egress stamp right before its
-    // deliver(): once a client observes a volley line, its
-    // decomposition is already in the histograms.
-    const auto finishOne = [&](size_t i, VolleyStamps stamps) {
+    // deliver(). The deltas land in the registry here and in the
+    // session inside deliver(), before the line is pushed: once a
+    // client observes a volley line, its decomposition is in both.
+    const auto deliverOne = [&](size_t i, const std::string &payload,
+                                VolleyStamps stamps) {
+        StageDeltas deltas{};
         if constexpr (kLatencyEnabled) {
             stamps.ingressUs = items[i].ingressUs;
             stamps.admitUs = items[i].admitUs;
             stamps.egressUs = steadyNowUs();
-            recordVolleyLatency(*targets[i], stamps);
-        } else {
-            (void)i;
-            (void)stamps;
+            deltas = stageDeltas(stamps);
+            recordStages(deltas);
         }
+        targets[i]->deliver(items[i].seq, payload, steadyNowMs(),
+                            deltas);
     };
     // One item per model call; a throw poisons exactly that volley.
     const auto processOne = [&](size_t i) {
@@ -389,10 +392,7 @@ StreamServer::runBatch(
                                    config_.nthreads);
             if constexpr (kLatencyEnabled)
                 stamps.modelExitUs = steadyNowUs();
-            finishOne(i, stamps);
-            targets[i]->deliver(items[i].seq,
-                                one.empty() ? "" : one[0],
-                                steadyNowMs());
+            deliverOne(i, one.empty() ? "" : one[0], stamps);
         } catch (const std::exception &) {
             targets[i]->dropVolley(items[i].seq, "poisoned",
                                    steadyNowMs());
@@ -435,11 +435,8 @@ StreamServer::runBatch(
             obs::FlightRecorder::instance().dump();
         }
         if (batch_ok) {
-            for (size_t i = 0; i < items.size(); ++i) {
-                finishOne(i, stamps);
-                targets[i]->deliver(items[i].seq, payloads[i],
-                                    steadyNowMs());
-            }
+            for (size_t i = 0; i < items.size(); ++i)
+                deliverOne(i, payloads[i], stamps);
         } else {
             // Panic isolation: a transactional model left no state
             // behind, so the item-by-item retry loses only the
@@ -608,23 +605,6 @@ StreamServer::housekeepingTick(uint64_t now, uint64_t &forced_at_ms)
            (forced_at_ms != 0 && now >= forced_at_ms + kDrainGraceMs);
 }
 
-void
-StreamServer::recordVolleyLatency(Session &session,
-                                  const VolleyStamps &stamps)
-{
-    session.recordLatency(stamps);
-    latency_.record(stamps);
-    // Server-wide stage histograms also land in the global registry
-    // so the Prometheus export carries the same decomposition.
-    [[maybe_unused]] const std::array<uint64_t, kStageCount> d =
-        stageDeltas(stamps);
-    ST_OBS_HIST("serve.latency.queue_us", d[0]);
-    ST_OBS_HIST("serve.latency.batch_us", d[1]);
-    ST_OBS_HIST("serve.latency.model_us", d[2]);
-    ST_OBS_HIST("serve.latency.egress_us", d[3]);
-    ST_OBS_HIST("serve.latency.total_us", d[4]);
-}
-
 std::string
 StreamServer::healthJson() const
 {
@@ -653,6 +633,11 @@ StreamServer::healthJson() const
                               return a.first > b.first;
                           return a.second->id() < b.second->id();
                       });
+
+    // One registry reading feeds the latency block and the metrics
+    // block, so the two cannot disagree.
+    const obs::MetricsSnapshot metrics =
+        obs::MetricsRegistry::instance().snapshot();
 
     std::ostringstream os;
     os << "{\"server\":{";
@@ -684,7 +669,7 @@ StreamServer::healthJson() const
        << ",\"egress_highwater\":" << egress_hw << "},";
     os << "\"uptime_ms\":" << (steadyNowMs() - startedAtMs_);
     os << "},\"latency\":{\"unit\":\"us\",\"stages\":";
-    latency_.snapshot().writeJson(os);
+    LatencySnapshot::fromMetrics(metrics).writeJson(os);
     os << ",\"sessions\":{";
     for (size_t i = 0; i < top_k; ++i) {
         const std::shared_ptr<Session> &s = ranked[i].second;
@@ -697,7 +682,7 @@ StreamServer::healthJson() const
         os << "}";
     }
     os << "}},\"metrics\":";
-    os << obs::MetricsRegistry::instance().snapshot().toJson();
+    metrics.writeJson(os);
     os << "}";
     return os.str();
 }

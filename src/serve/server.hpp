@@ -163,11 +163,17 @@ class StreamServer
      */
     std::string healthJson() const;
 
-    /** Server-wide latency decomposition (all delivered volleys). */
+    /**
+     * Server-wide latency decomposition, read from the registry's
+     * serve.latency.<stage>_us histograms. Those are process-wide: a
+     * process hosting several servers reads per-stage since()
+     * differences.
+     */
     LatencySnapshot
     latencySnapshot() const
     {
-        return latency_.snapshot();
+        return LatencySnapshot::fromMetrics(
+            obs::MetricsRegistry::instance().snapshot());
     }
 
     /**
@@ -202,8 +208,6 @@ class StreamServer
                   std::vector<BatchItem> &items, uint64_t now_ms);
     void sweepSessions(const std::vector<std::shared_ptr<Session>> &sessions,
                        uint64_t now_ms);
-    void recordVolleyLatency(Session &session,
-                             const VolleyStamps &stamps);
 
     ServeConfig config_;
     ModelRegistry registry_;
@@ -233,7 +237,6 @@ class StreamServer
     uint64_t startedAtMs_ = 0;
 
     std::unique_ptr<fault::FaultInjector> chaos_;
-    LatencyRecorder latency_;
 
     std::thread batcher_;
     std::thread housekeeper_;

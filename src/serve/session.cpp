@@ -557,12 +557,15 @@ Session::popPending()
 
 void
 Session::deliver(uint64_t seq, const std::string &payload,
-                 uint64_t now_ms)
+                 uint64_t now_ms, const StageDeltas &latency)
 {
     {
         std::lock_guard<std::mutex> lock(mutex_);
         ++stats_.volleysOut;
         lastActivityMs_ = now_ms;
+        if constexpr (kLatencyEnabled)
+            for (size_t i = 0; i < kStageCount; ++i)
+                latency_.stages[i].record(latency[i]);
     }
     ST_OBS_ADD("serve.volleys.out", 1);
     // One allocation per line: "volley <seq> <payload>".

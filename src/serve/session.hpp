@@ -150,9 +150,12 @@ class Session
     /** Queued-but-unprocessed volley count. */
     size_t ingressDepth() const { return ingress_.size(); }
 
-    /** Deliver the result of volley @p seq (in per-session order). */
+    /**
+     * Deliver the result of volley @p seq (in per-session order),
+     * recording its stage deltas @p latency before the line is pushed.
+     */
     void deliver(uint64_t seq, const std::string &payload,
-                 uint64_t now_ms);
+                 uint64_t now_ms, const StageDeltas &latency);
 
     /** Account volley @p seq as dropped ("deadline"/"poisoned"). */
     void dropVolley(uint64_t seq, const char *why, uint64_t now_ms);
@@ -178,18 +181,12 @@ class Session
     uint64_t deadlineMs() const;
 
     // --- observability ---------------------------------------------
-    /** Record one delivered volley's stage deltas (batcher only). */
-    void
-    recordLatency(const VolleyStamps &stamps)
-    {
-        latency_.record(stamps);
-    }
-
     /** Per-session latency decomposition (health snapshots). */
     LatencySnapshot
     latencySnapshot() const
     {
-        return latency_.snapshot();
+        std::lock_guard<std::mutex> lock(mutex_);
+        return latency_;
     }
 
     /** Ring high-watermarks (lock-free; health snapshots). */
@@ -213,7 +210,6 @@ class Session
 
     BoundedRing<Pending> ingress_;
     BoundedRing<std::string> egress_;
-    LatencyRecorder latency_;
 
     /**
      * Serializes every seal-and-submit path (handleEvent, flush,
@@ -242,6 +238,7 @@ class Session
     bool backpressure_ = false;
     bool endEmitted_ = false;
     size_t inFlight_ = 0;
+    LatencySnapshot latency_; //!< delivered volleys' stage deltas
     /**
      * Reserved slot for the terminal "err ..." line of a force-close.
      * The egress ring is usually *full* when a session is force-closed

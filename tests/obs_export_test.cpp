@@ -3,22 +3,26 @@
  * Tests for the request-observability additions (DESIGN.md Sec. 13):
  * histogram percentile estimation, the Prometheus text exposition
  * renderer, the background snapshot exporter's atomic file contract,
- * the rate-limited structured logger, and the flight recorder's dump
- * shape and retention.
+ * the rate-limited structured logger, the flight recorder's dump
+ * shape and retention, and publishFile, the atomic write the exporter
+ * and the flight recorder share (concurrent dumps, unwritable paths).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "obs/export.hpp"
@@ -374,12 +378,21 @@ TEST(StructuredLog, RateLimiterAdmitsBurstThenRefills)
     EXPECT_TRUE(limiter.admit(now));
     EXPECT_FALSE(limiter.admit(now)); // burst spent
     EXPECT_EQ(limiter.dropped(), 1u);
+    // ST_LOG reads the clock before the limiter's lock, so a caller
+    // can bring a time older than the last one: no time elapsed.
+    EXPECT_FALSE(limiter.admit(now - 1));
+    EXPECT_EQ(limiter.dropped(), 2u);
     // 1 token/sec: after 2s two more pass, a third does not.
     now += 2000;
     EXPECT_TRUE(limiter.admit(now));
     EXPECT_TRUE(limiter.admit(now));
     EXPECT_FALSE(limiter.admit(now));
-    EXPECT_EQ(limiter.dropped(), 2u);
+    EXPECT_EQ(limiter.dropped(), 3u);
+    // A stale time does not move the refill clock back either: 999 ms
+    // after the last real one is still short of a token.
+    EXPECT_FALSE(limiter.admit(now - 1000));
+    EXPECT_FALSE(limiter.admit(now + 999));
+    EXPECT_EQ(limiter.dropped(), 5u);
 }
 
 TEST(StructuredLog, SiteRateLimitTicksDroppedCounter)
@@ -459,6 +472,112 @@ TEST(FlightRecorder, DumpWritesArtifactAtomically)
     os << in.rdbuf();
     EXPECT_NE(os.str().find("watchdog.trip"), std::string::npos);
     std::remove(path.c_str());
+}
+
+uint64_t
+globalCounter(const std::string &name)
+{
+    for (const auto &c : MetricsRegistry::instance().snapshot().counters) {
+        if (c.name == name)
+            return c.value;
+    }
+    return 0;
+}
+
+size_t
+occurrences(const std::string &text, const std::string &needle)
+{
+    size_t n = 0;
+    for (size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + 1))
+        ++n;
+    return n;
+}
+
+TEST(FlightRecorder, ConcurrentDumpsPublishWholeArtifacts)
+{
+    // The batcher (batch panic) and the housekeeper (watchdog trip)
+    // can dump at once, through one staging file, while sessions
+    // keep recording.
+    const std::string path =
+        ::testing::TempDir() + "obs_flight_concurrent.json";
+    std::remove(path.c_str());
+    FlightRecorder rec;
+    rec.setDumpPath(path);
+    for (size_t i = 0; i < FlightRecorder::kRingCap; ++i)
+        rec.record("fill", i);
+    const uint64_t failed_before = globalCounter("flight.dump_failed");
+
+    constexpr int kRounds = 200;
+    std::atomic<bool> done{false};
+    std::atomic<int> bad_dumps{0};
+    std::atomic<int> torn{0};
+    std::thread recorder([&] {
+        for (uint64_t i = 0; !done.load(); ++i)
+            rec.record("volley.drop", i, 0, "deadline");
+    });
+    const auto dumper = [&] {
+        for (int r = 0; r < kRounds; ++r) {
+            if (!rec.dump()) {
+                ++bad_dumps;
+                continue;
+            }
+            std::ifstream in(path);
+            std::ostringstream os;
+            os << in.rdbuf();
+            const std::string text = os.str();
+            const std::string tail = "\n]}\n";
+            const bool whole =
+                occurrences(text, "{\"dropped\": ") == 1 &&
+                occurrences(text, "{\"ts_ms\": ") ==
+                    FlightRecorder::kRingCap &&
+                text.size() >= tail.size() &&
+                text.compare(text.size() - tail.size(), tail.size(),
+                             tail) == 0;
+            if (!whole)
+                ++torn;
+        }
+    };
+    std::thread a(dumper);
+    std::thread b(dumper);
+    a.join();
+    b.join();
+    done.store(true);
+    recorder.join();
+
+    EXPECT_EQ(bad_dumps.load(), 0);
+    EXPECT_EQ(torn.load(), 0);
+    EXPECT_EQ(globalCounter("flight.dump_failed"), failed_before);
+    std::ifstream tmp(path + ".tmp");
+    EXPECT_FALSE(tmp.good());
+    std::remove(path.c_str());
+}
+
+TEST(PublishFile, UnwritablePathFailsCleanly)
+{
+    // The staging file cannot be created: no such directory.
+    const std::string missing =
+        ::testing::TempDir() + "obs_no_such_dir/flight.json";
+    FlightRecorder rec;
+    rec.setDumpPath(missing);
+    rec.record("watchdog.trip", 1, 0);
+    uint64_t before = globalCounter("flight.dump_failed");
+    EXPECT_FALSE(rec.dump());
+    EXPECT_EQ(globalCounter("flight.dump_failed"), before + 1);
+    std::ifstream missing_tmp(missing + ".tmp");
+    EXPECT_FALSE(missing_tmp.good());
+
+    // The staging file is written but cannot replace the target: a
+    // directory stands at the path.
+    const std::string dir = ::testing::TempDir() + "obs_export_dir";
+    ::mkdir(dir.c_str(), 0700);
+    MetricsExporter exporter(dir, 1000);
+    before = globalCounter("metrics.export_failed");
+    EXPECT_FALSE(exporter.writeOnce());
+    EXPECT_EQ(globalCounter("metrics.export_failed"), before + 1);
+    std::ifstream dir_tmp(dir + ".tmp");
+    EXPECT_FALSE(dir_tmp.good());
+    ::rmdir(dir.c_str());
 }
 
 } // namespace

@@ -119,8 +119,10 @@ TEST(MetricsHistogram, PowerOfTwoBuckets)
     const MetricsSnapshot::Hist &hist = snap.histograms[0];
     EXPECT_EQ(hist.count, 5u);
     EXPECT_EQ(hist.sum, 14u);
-    // Trailing zero buckets trimmed: last hit bucket is 4 (value 8).
-    ASSERT_EQ(hist.buckets.size(), 5u);
+    // The writers trim trailing zero buckets: the last hit bucket is
+    // 4 (value 8).
+    EXPECT_NE(snap.toJson().find("\"buckets\": [1, 1, 2, 0, 1]}"),
+              std::string::npos);
     EXPECT_EQ(hist.buckets[0], 1u); // v = 0
     EXPECT_EQ(hist.buckets[1], 1u); // v = 1
     EXPECT_EQ(hist.buckets[2], 2u); // v = 2, 3

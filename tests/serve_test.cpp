@@ -497,7 +497,7 @@ TEST(Session, EndOfInputNeverOvertakesItsLastVolley)
             while (!s.finishIfDrained(0)) {
                 if (std::optional<Session::Pending> p = s.popPending()) {
                     s.beginFlight(1);
-                    s.deliver(p->seq, "x", 0);
+                    s.deliver(p->seq, "x", 0, {});
                     s.endFlight(1);
                 }
             }
@@ -983,6 +983,9 @@ TEST(StreamServer, HealthReportsLatencyBlock)
     StreamServer server(std::make_unique<TnnServeModel>(makeNet(4)),
                         config);
     server.start();
+    // The server-wide stages are the registry's, so process-wide:
+    // this server's share is the difference across its run.
+    const LatencySnapshot before = server.latencySnapshot();
     auto open = server.openSession("lat");
     ASSERT_TRUE(open.session != nullptr);
     const uint64_t delivered = driveWithoutEnd(*open.session, 100, 8);
@@ -1000,24 +1003,74 @@ TEST(StreamServer, HealthReportsLatencyBlock)
     }
     EXPECT_NE(json.find("\"sessions\":{"), std::string::npos);
 
-    const LatencySnapshot snap = server.latencySnapshot();
+    const LatencySnapshot after = server.latencySnapshot();
 #if ST_OBS_ENABLED
     // Every delivered volley is decomposed exactly once, and the
     // estimator must be monotone in q for every stage.
     for (size_t stage = 0; stage < kStageCount; ++stage) {
-        EXPECT_EQ(snap.stages[stage].count, delivered)
-            << stageName(stage);
-        EXPECT_LE(snap.stages[stage].percentile(0.50),
-                  snap.stages[stage].percentile(0.99))
+        const obs::MetricsSnapshot::Hist run =
+            after.stages[stage].since(before.stages[stage]);
+        EXPECT_EQ(run.count, delivered) << stageName(stage);
+        EXPECT_LE(run.percentile(0.50), run.percentile(0.99))
             << stageName(stage);
     }
     // Per-session detail rides in the health JSON for the top-K.
     EXPECT_NE(json.find("\"volleys\":100"), std::string::npos);
 #else
     for (size_t stage = 0; stage < kStageCount; ++stage)
-        EXPECT_EQ(snap.stages[stage].count, 0u) << stageName(stage);
+        EXPECT_EQ(after.stages[stage].count, 0u) << stageName(stage);
 #endif
     open.session->endInput(steadyNowMs());
+    server.requestStop();
+    EXPECT_TRUE(server.waitDrained());
+}
+
+TEST(StreamServer, LatencyIsRecordedBeforeItsLineIsVisible)
+{
+    ServeConfig config;
+    config.window = 8;
+    config.deadlineMs = 60000;
+    StreamServer server(std::make_unique<TnnServeModel>(makeNet(4)),
+                        config);
+    server.start();
+    const LatencySnapshot before = server.latencySnapshot();
+    auto open = server.openSession("order");
+    ASSERT_TRUE(open.session != nullptr);
+    Session &s = *open.session;
+    constexpr uint64_t kVolleys = 64;
+    s.feedLine("stserve 1", steadyNowMs());
+    s.feedLine("addresses 4 window 8", steadyNowMs());
+    for (uint64_t w = 0; w < kVolleys; ++w) {
+        s.feedLine(std::to_string(w * 8) + " " + std::to_string(w % 4),
+                   steadyNowMs());
+        s.feedLine("flush", steadyNowMs());
+    }
+    constexpr size_t kTotal = kStageCount - 1; // the "total" stage
+    uint64_t seen = 0;
+    while (seen < kVolleys) {
+        const std::optional<std::string> line =
+            s.nextOutput(std::chrono::milliseconds(1000));
+        if (!line)
+            break;
+        if (line->rfind("volley ", 0) != 0)
+            continue;
+        ++seen;
+        // Later volleys may already be in; this one must be.
+        const uint64_t in_session =
+            s.latencySnapshot().stages[kTotal].count;
+        const uint64_t in_registry =
+            server.latencySnapshot().stages[kTotal].count -
+            before.stages[kTotal].count;
+#if ST_OBS_ENABLED
+        EXPECT_GE(in_session, seen) << *line;
+        EXPECT_GE(in_registry, seen) << *line;
+#else
+        EXPECT_EQ(in_session, 0u) << *line;
+        EXPECT_EQ(in_registry, 0u) << *line;
+#endif
+    }
+    EXPECT_EQ(seen, kVolleys);
+    s.endInput(steadyNowMs());
     server.requestStop();
     EXPECT_TRUE(server.waitDrained());
 }
